@@ -26,10 +26,8 @@
 #include <vector>
 
 #include "src/link/link_device.h"
-#include "src/net/datapath_tuning.h"
 #include "src/net/packet.h"
 #include "src/net/packet_arena.h"
-#include "src/node/flow_cache.h"
 #include "src/node/node.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/export.h"
@@ -56,25 +54,15 @@ struct ChainResult {
   uint64_t packet_copies = 0;      // Deep copies made during the run.
   uint64_t packet_cow_breaks = 0;  // Subset forced by shared storage.
   uint64_t packet_allocations = 0;
-  // Flow-cache totals across every stack in the chain.
-  uint64_t flow_hits = 0;
-  uint64_t flow_misses = 0;
-  uint64_t flow_invalidations = 0;
-  // Event-engine immediate-lane and device burst-drain totals.
+  // Event-engine immediate-lane totals.
   uint64_t lane_scheduled = 0;
   uint64_t heap_scheduled = 0;
-  uint64_t tx_bursts = 0;
-  uint64_t tx_burst_frames = 0;
   double wall_sec = 0.0;
 };
 
 // Source -> H routers -> sink, every link its own broadcast medium with zero
-// jitter and zero loss so the run draws no randomness at all. With `zero_bw`
-// the links also serialize for free, which routes every frame through the
-// device burst-drain path and every pipeline stage through the inline
-// dispatcher — the pure software-overhead ceiling.
-ChainResult RunForwardingChain(int hops, int packets, size_t payload_bytes, uint64_t seed,
-                               bool zero_bw = false) {
+// jitter and zero loss so the run draws no randomness at all.
+ChainResult RunForwardingChain(int hops, int packets, size_t payload_bytes, uint64_t seed) {
   Simulator sim(seed);
 
   MediumParams wire;
@@ -95,9 +83,6 @@ ChainResult RunForwardingChain(int hops, int packets, size_t payload_bytes, uint
   Node source(sim, "src");
   EthernetDevice* src_eth = source.AddEthernet("eth0", media[0].get());
   src_eth->ForceUp();
-  if (zero_bw) {
-    src_eth->set_bandwidth_bps(0);
-  }
   src_eth->set_queue_capacity(static_cast<size_t>(packets) + 16);
   source.ConfigureInterface(src_eth, "10.0.0.10/24");
   source.AddDefaultRoute(addr(0, 1), src_eth);
@@ -111,10 +96,6 @@ ChainResult RunForwardingChain(int hops, int packets, size_t payload_bytes, uint
     EthernetDevice* right = router->AddEthernet("right", media[i + 1].get());
     left->ForceUp();
     right->ForceUp();
-    if (zero_bw) {
-      left->set_bandwidth_bps(0);
-      right->set_bandwidth_bps(0);
-    }
     left->set_queue_capacity(static_cast<size_t>(packets) + 16);
     right->set_queue_capacity(static_cast<size_t>(packets) + 16);
     router->ConfigureInterface(left, "10." + std::to_string(i) + ".0.1/24");
@@ -128,9 +109,6 @@ ChainResult RunForwardingChain(int hops, int packets, size_t payload_bytes, uint
   Node sink(sim, "sink");
   EthernetDevice* sink_eth = sink.AddEthernet("eth0", media[hops].get());
   sink_eth->ForceUp();
-  if (zero_bw) {
-    sink_eth->set_bandwidth_bps(0);
-  }
   sink.ConfigureInterface(sink_eth, "10." + std::to_string(hops) + ".0.10/24");
 
   // Pre-resolve every next hop so no ARP traffic rides along.
@@ -170,27 +148,6 @@ ChainResult RunForwardingChain(int hops, int packets, size_t payload_bytes, uint
   result.packet_copies = after.copies - before.copies;
   result.packet_cow_breaks = after.cow_breaks - before.cow_breaks;
   result.packet_allocations = after.allocations - before.allocations;
-  const auto add_flow = [&result](Node& node) {
-    const FlowCache& cache = node.stack().flow_cache();
-    result.flow_hits += cache.hits();
-    result.flow_misses += cache.misses();
-    result.flow_invalidations += cache.invalidations();
-  };
-  add_flow(source);
-  for (const auto& router : routers) {
-    add_flow(*router);
-  }
-  add_flow(sink);
-  const auto add_dev = [&result](NetDevice* device) {
-    result.tx_bursts += device->counters().tx_bursts;
-    result.tx_burst_frames += device->counters().tx_burst_frames;
-  };
-  add_dev(src_eth);
-  for (const auto& router : routers) {
-    add_dev(router->FindDevice("left"));
-    add_dev(router->FindDevice("right"));
-  }
-  add_dev(sink_eth);
   result.lane_scheduled = sim.queue_lane_stats().lane_scheduled;
   result.heap_scheduled = sim.queue_lane_stats().heap_scheduled;
   result.wall_sec = WallSeconds(start, end);
@@ -283,9 +240,6 @@ int Main() {
                    {"packet_copies", r.packet_copies},
                    {"packet_cow_breaks", r.packet_cow_breaks},
                    {"packet_allocations", r.packet_allocations},
-                   {"flow_cache_hits", r.flow_hits},
-                   {"flow_cache_misses", r.flow_misses},
-                   {"flow_cache_invalidations", r.flow_invalidations},
                    {"lane_scheduled", r.lane_scheduled},
                    {"heap_scheduled", r.heap_scheduled},
                    {"wall_ms", r.wall_sec * 1e3},
@@ -296,42 +250,6 @@ int Main() {
   report.AddSummary("fwd_pps", "pps", pps_samples);
   report.AddSummary("ns_per_hop", "ns", ns_per_hop_samples);
   report.AddSummary("copies_per_hop", "copies", copies_per_hop_samples);
-
-  // Zero-bandwidth variant: serialization is free, so every frame drains
-  // through the device burst path and every pipeline stage dispatches
-  // inline. This is the software-overhead ceiling the datapath tuning aims
-  // at; the row set proves the burst/lane machinery actually engages
-  // (tx_bursts > 0, lane_scheduled > 0).
-  std::vector<double> burst_pps_samples;
-  std::printf("\nBurst chain (zero-bandwidth links, burst drain + inline dispatch)\n");
-  std::printf("%4s  %14s  %12s  %12s  %12s  %12s\n", "rep", "hops fwd", "wall ms", "pps",
-              "bursts", "lane evts");
-  for (int rep = 0; rep < kReps; ++rep) {
-    const ChainResult r = RunForwardingChain(kHops, kPackets, kPayloadBytes,
-                                             5000 + static_cast<uint64_t>(rep),
-                                             /*zero_bw=*/true);
-    const double pps = r.wall_sec > 0
-                           ? static_cast<double>(r.hops_forwarded) / r.wall_sec
-                           : 0.0;
-    burst_pps_samples.push_back(pps);
-    std::printf("%4d  %14llu  %12.2f  %12.0f  %12llu  %12llu\n", rep,
-                static_cast<unsigned long long>(r.hops_forwarded), r.wall_sec * 1e3, pps,
-                static_cast<unsigned long long>(r.tx_bursts),
-                static_cast<unsigned long long>(r.lane_scheduled));
-    report.AddRow("burst_rep=" + std::to_string(rep),
-                  {{"hops_forwarded", r.hops_forwarded},
-                   {"delivered", r.delivered},
-                   {"events_executed", r.events_executed},
-                   {"tx_bursts", r.tx_bursts},
-                   {"tx_burst_frames", r.tx_burst_frames},
-                   {"lane_scheduled", r.lane_scheduled},
-                   {"heap_scheduled", r.heap_scheduled},
-                   {"flow_cache_hits", r.flow_hits},
-                   {"flow_cache_misses", r.flow_misses},
-                   {"wall_ms", r.wall_sec * 1e3},
-                   {"fwd_pps", pps}});
-  }
-  report.AddSummary("burst_fwd_pps", "pps", burst_pps_samples);
 
   const BufferPool::Stats pool = DefaultBufferPool().stats();
   std::printf("\npool: hits=%llu misses=%llu oversize=%llu free=%llu outstanding=%llu\n",

@@ -324,8 +324,6 @@ void OracleSuite::OnTick() {
     }
   }
 
-  FlowCacheCoherenceOracle();
-
   // Quiet-interval bookkeeping for the probe-conservation oracle.
   if (QuietNow()) {
     if (!quiet_since_.has_value()) {
@@ -333,48 +331,6 @@ void OracleSuite::OnTick() {
     }
   } else {
     CloseQuietStretch(now - kTickInterval);
-  }
-}
-
-void OracleSuite::FlowCacheCoherenceOracle() {
-  // flow-cache-coherence: on every stack, a cached route decision for a
-  // sampled destination must equal a shadow uncached lookup taken in the
-  // same instant. Catches exactly the failure mode the flow cache risks: an
-  // invalidation hook missing from some mutation path, leaving a decision
-  // alive past the state that produced it. Queries are advisory so sampling
-  // never moves per-packet policy counters, and the uncached shadow never
-  // touches the cache (see IpStack::RouteLookupUncached).
-  ++report_.checks;
-  const Ipv4Address dsts[] = {tb_.ch_address(), tb_.home_agent_address(),
-                              Testbed::HomeAddress(), Testbed::RouterOn8()};
-  Node* const nodes[] = {tb_.mh.get(), tb_.router.get(), tb_.ch.get(),
-                         tb_.ha_host.get(), tb_.backup_ha_host.get()};
-  for (Node* node : nodes) {
-    if (node == nullptr) {
-      continue;
-    }
-    for (const Ipv4Address& dst : dsts) {
-      for (const bool forwarding : {false, true}) {
-        RouteQuery query;
-        query.dst = dst;
-        query.forwarding = forwarding;
-        query.advisory = true;
-        const auto cached = node->stack().RouteLookup(query);
-        const auto truth = node->stack().RouteLookupUncached(query);
-        const bool coherent =
-            cached.has_value() == truth.has_value() &&
-            (!cached.has_value() ||
-             (cached->device == truth->device && cached->src == truth->src &&
-              cached->next_hop == truth->next_hop));
-        if (!coherent) {
-          report_.Add("flow-cache-coherence",
-                      node->name() + " -> " + dst.ToString() +
-                          (forwarding ? " (forwarding)" : "") +
-                          " cached decision diverges from uncached lookup at " +
-                          FormatMs(tb_.sim.Now() - start_));
-        }
-      }
-    }
   }
 }
 

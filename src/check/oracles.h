@@ -137,7 +137,6 @@ class OracleSuite {
   void CloseQuietStretch(Time end);
   void CheckQuietProbeLoss();
   void ShardOracles();
-  void FlowCacheCoherenceOracle();
   void FinalStateOracles();
   void TrafficOracles();
   void CounterOracles();

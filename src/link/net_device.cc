@@ -1,9 +1,7 @@
 #include "src/link/net_device.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "src/net/datapath_tuning.h"
 #include "src/telemetry/metrics.h"
 #include "src/util/logging.h"
 
@@ -95,41 +93,6 @@ void NetDevice::StartNextTransmission() {
     return;
   }
   transmitting_ = true;
-  // Burst dequeue: frames with no serialization time (bandwidth 0, e.g. the
-  // encapsulating VIF) all complete "now", so one scheduled event drains up
-  // to device_burst_max of them — event-engine overhead once per burst
-  // instead of once per frame. Per-frame work (counters, tap, SendToMedium)
-  // still happens frame by frame in FIFO order, so traces are unchanged.
-  // Frames with real serialization time never coalesce: their completion
-  // times are distinct by construction.
-  if (GlobalDatapathTuning().device_burst && bandwidth_bps() == 0) {
-    const uint64_t generation = bring_up_generation_;
-    sim_.Schedule(Duration(), [this, generation] {
-      if (generation != bring_up_generation_ || state_ != State::kUp) {
-        return;  // Interface went down mid-transmission.
-      }
-      const size_t max_burst =
-          std::max<size_t>(1, GlobalDatapathTuning().device_burst_max);
-      size_t drained = 0;
-      while (!queue_.empty() && drained < max_burst) {
-        EthernetFrame frame = std::move(queue_.front());
-        queue_.pop_front();
-        ++drained;
-        ++counters_.tx_frames;
-        counters_.tx_bytes += frame.WireSize();
-        NotifyTap(frame, TapDirection::kTransmit);
-        SendToMedium(frame);
-        if (state_ != State::kUp) {
-          break;  // A receiver's synchronous reaction took us down.
-        }
-      }
-      ++counters_.tx_bursts;
-      counters_.tx_burst_frames += drained;
-      UpdateQueueDepthGauge();
-      StartNextTransmission();
-    });
-    return;
-  }
   EthernetFrame frame = std::move(queue_.front());
   queue_.pop_front();
   UpdateQueueDepthGauge();

@@ -43,9 +43,8 @@ class NetDevice {
     uint64_t dropped_down = 0;   // Transmit attempted while interface down.
     uint64_t dropped_queue = 0;  // Transmit queue overflow.
     uint64_t dropped_rx_down = 0;  // Frame arrived while interface down.
-    // Burst dequeue accounting (zero-serialization-delay devices only):
-    // drain events and the frames they carried. tx_burst_frames <= tx_frames;
-    // equality means every frame left in a burst.
+    // Always zero: every frame completes in its own event. Kept for
+    // readers that still export them.
     uint64_t tx_bursts = 0;
     uint64_t tx_burst_frames = 0;
   };

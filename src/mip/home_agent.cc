@@ -336,7 +336,6 @@ void HomeAgent::Promote(uint64_t epoch) {
            static_cast<unsigned long long>(epoch), binding_count());
   role_ = HaRole::kPrimary;
   epoch_ = epoch;
-  node_.stack().InvalidateFlowCache();
   SetRoleGauge();
   // Pull home-subnet traffic here: proxy ARP plus a gratuitous announcement
   // for every mirrored binding.
@@ -351,7 +350,6 @@ void HomeAgent::StepDown(uint64_t epoch) {
            static_cast<unsigned long long>(epoch));
   role_ = HaRole::kStandby;
   epoch_ = epoch;
-  node_.stack().InvalidateFlowCache();
   SetRoleGauge();
   // Anything still queued belongs to the new primary now.
   FlushShardQueues(counters_.requests_dropped_standby);
@@ -387,7 +385,6 @@ void HomeAgent::ApplyMutation(const BindingMutation& mutation) {
       binding.decapsulates_self = mutation.decapsulates_self;
       Shard& shard = ShardOf(mutation.home_address);
       shard.bindings[mutation.home_address] = binding;
-      node_.stack().InvalidateFlowCache();
       shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
       SetGlobalBindingsGauge();
       last_identification_[mutation.home_address] = mutation.identification;
@@ -455,7 +452,6 @@ void HomeAgent::AdoptState(const HaBindingState& state) {
     binding.decapsulates_self = entry.decapsulates_self;
     Shard& shard = ShardOf(entry.home_address);
     shard.bindings[entry.home_address] = binding;
-    node_.stack().InvalidateFlowCache();
     shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
     ScheduleExpiry(entry.home_address, binding.expires);
     if (serving()) {
@@ -735,7 +731,6 @@ void HomeAgent::InstallBinding(const RegistrationRequest& request,
       << home.ToString() << " outside " << config_.home_subnet.ToString();
   MSN_ASSERT(!binding.care_of.IsAny()) << "registration with an empty care-of address";
   shard.bindings[home] = binding;
-  node_.stack().InvalidateFlowCache();
   shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
   SetGlobalBindingsGauge();
 
@@ -780,7 +775,6 @@ void HomeAgent::RemoveBinding(Ipv4Address home_address, bool expired) {
   }
   const Ipv4Address old_care_of = it->second.care_of;
   shard.bindings.erase(it);
-  node_.stack().InvalidateFlowCache();
   shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
   SetGlobalBindingsGauge();
   RemoveServingArpState(home_address);

@@ -68,9 +68,6 @@ MobileHost::MobileHost(Node& node, Config config) : node_(node), config_(config)
   // The paper's single kernel hook: the enhanced route lookup.
   node_.stack().SetRouteLookupOverride(
       [this](const RouteQuery& query) { return RouteOverride(query); });
-  // Every MPT mutation (probe fallbacks, policy edits) orphans cached route
-  // decisions, which hold pointers into the entries vector.
-  policy_table_.SetChangeListener([this] { node_.stack().InvalidateFlowCache(); });
 }
 
 MobileHost::Counters MobileHost::counters() const {
@@ -132,14 +129,10 @@ std::optional<RouteDecision> MobileHost::RouteOverride(const RouteQuery& query) 
     return decision;
   }
 
-  // Per-packet accounting (MPT entry hits, triangle counter) is carried out
-  // of the override as pointers and bumped centrally by IpStack::RouteLookup,
-  // so flow-cache hits count exactly like fresh lookups. The pointers stay
-  // valid because every MPT mutation fires the change listener, which
-  // invalidates the cache before the entries vector can move.
-  MobilePolicyTable::Entry* entry = policy_table_.MatchEntry(query.dst);
-  const MobilePolicy policy = entry != nullptr ? entry->policy : policy_table_.default_policy();
-  uint64_t* hits = entry != nullptr ? &entry->hits : nullptr;
+  // Per-packet accounting (MPT entry hits, triangle counter) only for
+  // lookups that send a packet.
+  const MobilePolicy policy = query.advisory ? policy_table_.LookupConst(query.dst)
+                                             : policy_table_.Lookup(query.dst);
   switch (policy) {
     case MobilePolicy::kTunnelHome:
     case MobilePolicy::kEncapDirect: {
@@ -149,7 +142,6 @@ std::optional<RouteDecision> MobileHost::RouteOverride(const RouteQuery& query) 
       decision.device = vif_;
       decision.src = config_.home_address;
       decision.next_hop = Ipv4Address::Any();
-      decision.policy_hits = hits;
       return decision;
     }
     case MobilePolicy::kTriangle: {
@@ -162,8 +154,9 @@ std::optional<RouteDecision> MobileHost::RouteOverride(const RouteQuery& query) 
       const Subnet local(attachment_.care_of, attachment_.mask);
       decision.next_hop =
           local.Contains(query.dst) ? Ipv4Address::Any() : attachment_.gateway;
-      decision.policy_counter = &counters_.packets_triangle_out;
-      decision.policy_hits = hits;
+      if (!query.advisory) {
+        ++counters_.packets_triangle_out;
+      }
       return decision;
     }
     case MobilePolicy::kDirect: {
@@ -171,7 +164,6 @@ std::optional<RouteDecision> MobileHost::RouteOverride(const RouteQuery& query) 
       // but a matched MPT entry still records the hit.
       RouteDecision decision;
       decision.defer_to_table = true;
-      decision.policy_hits = hits;
       return decision;
     }
   }
@@ -213,7 +205,6 @@ void MobileHost::BeginAttach(const Attachment& attachment, bool skip_interface_c
   pending_deregistration_ = false;
   renewing_ = false;
   fa_mode_ = false;
-  node_.stack().InvalidateFlowCache();
   timeline_ = RegistrationTimeline{};
   timeline_.start = node_.sim().Now();
   state_ = State::kRegistering;
@@ -254,7 +245,6 @@ void MobileHost::StepUpdateRoutes(uint64_t generation) {
     node_.AddDefaultRoute(att.gateway, att.device);
     attachment_ = att;
     away_ = true;
-    node_.stack().InvalidateFlowCache();
     timeline_.route_changed = node_.sim().Now();
     StepSendRegistration(generation);
   });
@@ -667,7 +657,6 @@ void MobileHost::AttachHome(CompletionCallback done) {
   pending_deregistration_ = was_away;
   renewing_ = false;
   fa_mode_ = false;
-  node_.stack().InvalidateFlowCache();
   timeline_ = RegistrationTimeline{};
   timeline_.start = node_.sim().Now();
 
@@ -713,7 +702,6 @@ void MobileHost::ContinueAttachHome(uint64_t generation) {
       attachment_ = Attachment{config_.home_device, config_.home_address, config_.home_mask,
                                config_.home_gateway};
       away_ = false;
-      node_.stack().InvalidateFlowCache();
       timeline_.route_changed = node_.sim().Now();
 
       // Announce our return: void stale ARP entries (including neighbours
@@ -785,7 +773,6 @@ void MobileHost::AttachViaForeignAgent(NetDevice* device, Ipv4Address fa_address
             [](const RouteEntry& e) { return e.dest == Subnet::Default(); });
         attachment_ = Attachment{device, fa_address, SubnetMask(32), fa_address};
         away_ = true;
-        node_.stack().InvalidateFlowCache();
         timeline_.interface_configured = node_.sim().Now();
         timeline_.route_changed = node_.sim().Now();
         StepSendRegistration(generation);

@@ -24,12 +24,10 @@ void MobilePolicyTable::Set(const Subnet& dest, MobilePolicy policy, bool verifi
     if (e.dest == dest) {
       e.policy = policy;
       e.verified = verified;
-      NotifyChanged();
       return;
     }
   }
   entries_.push_back(Entry{dest, policy, verified, 0});
-  NotifyChanged();
 }
 
 bool MobilePolicyTable::Remove(const Subnet& dest) {
@@ -37,20 +35,10 @@ bool MobilePolicyTable::Remove(const Subnet& dest) {
   entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
                                 [&dest](const Entry& e) { return e.dest == dest; }),
                  entries_.end());
-  const bool removed = entries_.size() != before;
-  if (removed) {
-    NotifyChanged();
-  }
-  return removed;
+  return entries_.size() != before;
 }
 
-void MobilePolicyTable::Clear() {
-  const bool changed = !entries_.empty();
-  entries_.clear();
-  if (changed) {
-    NotifyChanged();
-  }
-}
+void MobilePolicyTable::Clear() { entries_.clear(); }
 
 const MobilePolicyTable::Entry* MobilePolicyTable::Match(Ipv4Address dst) const {
   const Entry* best = nullptr;
@@ -61,10 +49,6 @@ const MobilePolicyTable::Entry* MobilePolicyTable::Match(Ipv4Address dst) const 
     }
   }
   return best;
-}
-
-MobilePolicyTable::Entry* MobilePolicyTable::MatchEntry(Ipv4Address dst) {
-  return const_cast<Entry*>(Match(dst));
 }
 
 MobilePolicy MobilePolicyTable::Lookup(Ipv4Address dst) {

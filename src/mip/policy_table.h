@@ -7,7 +7,6 @@
 #define MSN_SRC_MIP_POLICY_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,19 +58,6 @@ class MobilePolicyTable {
   [[nodiscard]] MobilePolicy Lookup(Ipv4Address dst);
   MobilePolicy LookupConst(Ipv4Address dst) const;
 
-  // Longest-prefix matched entry without counting a hit; null when no entry
-  // matches. The mutable pointer lets the route override hand &entry->hits
-  // to the flow cache for centralized per-packet counting. Pointer valid
-  // only until the next mutation — every mutation fires the change
-  // listener, which invalidates cached decisions before the vector can
-  // move.
-  [[nodiscard]] Entry* MatchEntry(Ipv4Address dst);
-
-  // Fired after every mutation (Set, Remove when an entry went away, Clear,
-  // RecordFallback). Wired by MobileHost to the owning stack's flow-cache
-  // invalidation.
-  void SetChangeListener(std::function<void()> fn) { on_change_ = std::move(fn); }
-
   // Caches "this destination needs tunneling" after a failed optimization
   // probe (paper: "we can cache this information for further use in the
   // Mobile Policy Table").
@@ -82,15 +68,9 @@ class MobilePolicyTable {
 
  private:
   const Entry* Match(Ipv4Address dst) const;
-  void NotifyChanged() {
-    if (on_change_) {
-      on_change_();
-    }
-  }
 
   std::vector<Entry> entries_;
   MobilePolicy default_policy_ = MobilePolicy::kTunnelHome;
-  std::function<void()> on_change_;
 };
 
 }  // namespace msn

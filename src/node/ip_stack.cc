@@ -5,8 +5,6 @@
 
 #include "src/link/net_device.h"
 #include "src/net/checksum.h"
-#include "src/net/datapath_tuning.h"
-#include "src/node/flow_cache.h"
 #include "src/node/udp.h"
 #include "src/util/assert.h"
 #include "src/util/byte_buffer.h"
@@ -25,8 +23,7 @@ namespace {
 // the first SendDatagram stage: applications observe that asynchrony.
 template <typename Fn>
 void DispatchStage(Simulator& sim, Time fire, Fn&& fn) {
-  if (GlobalDatapathTuning().inline_pipeline && fire == sim.Now() &&
-      sim.NextEventTime() > sim.Now()) {
+  if (fire == sim.Now() && sim.NextEventTime() > sim.Now()) {
     std::forward<Fn>(fn)();
     return;
   }
@@ -63,11 +60,6 @@ IpStack::IpStack(Simulator& sim, std::string node_name, MetricsRegistry* metrics
   counters_.fragments_sent = metrics->GetCounterRef(prefix + "fragments_sent");
   counters_.drop_fragmentation_needed =
       metrics->GetCounterRef(prefix + "drop_fragmentation_needed");
-  flow_cache_ = std::make_unique<FlowCache>(GlobalDatapathTuning().flow_cache_capacity,
-                                            *metrics, node_name_);
-  // Route changes of any provenance (ifconfig, redirects, tests poking
-  // routes() directly) orphan cached decisions without the mutator's help.
-  routes_.SetChangeListener([this] { InvalidateFlowCache(); });
 }
 
 IpStack::~IpStack() = default;
@@ -114,9 +106,6 @@ void IpStack::RemoveInterface(NetDevice* device) {
                                      return e.device == device;
                                    }),
                     interfaces_.end());
-  // The route listener may not have fired (device had no routes), but cached
-  // decisions can still point at the vanished device.
-  InvalidateFlowCache();
 }
 
 IpStack::InterfaceEntry* IpStack::FindInterface(NetDevice* device) {
@@ -215,22 +204,16 @@ bool IpStack::IsBroadcastFor(Ipv4Address addr) const {
 
 // --- Routing -------------------------------------------------------------------
 
-std::optional<RouteDecision> IpStack::LookupUncached(const RouteQuery& query,
-                                                     CounterRef*& policy_counter,
-                                                     uint64_t*& policy_hits) {
-  policy_counter = nullptr;
-  policy_hits = nullptr;
+std::optional<RouteDecision> IpStack::RouteLookup(const RouteQuery& query) {
   // The mobility hook: the paper's enhanced ip_rt_route() consults the Mobile
   // Policy Table first and falls through to the normal table.
   if (route_override_) {
     if (auto decision = route_override_(query)) {
-      policy_counter = decision->policy_counter;
-      policy_hits = decision->policy_hits;
       if (!decision->defer_to_table) {
         return decision;
       }
-      // kDirect local role: the policy accounting sticks, the forwarding
-      // answer comes from the normal table below.
+      // kDirect local role: the forwarding answer comes from the normal
+      // table below.
     }
   }
   auto entry = routes_.Lookup(query.dst);
@@ -247,70 +230,14 @@ std::optional<RouteDecision> IpStack::LookupUncached(const RouteQuery& query,
   } else {
     decision.src = GetInterfaceAddress(entry->device).value_or(Ipv4Address::Any());
   }
-  decision.policy_counter = policy_counter;
-  decision.policy_hits = policy_hits;
-  return decision;
-}
-
-std::optional<RouteDecision> IpStack::RouteLookup(const RouteQuery& query) {
-  CounterRef* policy_counter = nullptr;
-  uint64_t* policy_hits = nullptr;
-  // Only destination-determined queries may use the cache: forwarded packets
-  // never consult src_hint, and for local sends the mobile-host override's
-  // local-role exemption branches on it — those are answered under the
-  // canonical src_hint = Any and the bound source substituted on the way
-  // out, while non-Any local queries (override-exempt by definition) go
-  // straight to the tables.
-  const bool eligible = GlobalDatapathTuning().flow_cache &&
-                        (query.forwarding || query.src_hint.IsAny());
-  std::optional<RouteDecision> decision;
-  if (!eligible) {
-    decision = LookupUncached(query, policy_counter, policy_hits);
-  } else if (const FlowCache::Value* hit =
-                 flow_cache_->Find(query.dst, query.forwarding)) {
-    decision = hit->decision;
-    policy_counter = hit->policy_counter;
-    policy_hits = hit->policy_hits;
-    if (decision && !query.src_hint.IsAny()) {
-      decision->src = query.src_hint;
-    }
-  } else {
-    RouteQuery canonical = query;
-    canonical.src_hint = Ipv4Address::Any();
-    decision = LookupUncached(canonical, policy_counter, policy_hits);
-    flow_cache_->Insert(query.dst, query.forwarding,
-                        FlowCache::Value{decision, policy_counter, policy_hits});
-    if (decision && !query.src_hint.IsAny()) {
-      decision->src = query.src_hint;
-    }
-  }
-  // Per-packet policy accounting happens here — once per non-advisory query,
-  // identically for cached and uncached answers.
-  if (!query.advisory) {
-    if (policy_counter != nullptr) {
-      ++*policy_counter;
-    }
-    if (policy_hits != nullptr) {
-      ++*policy_hits;
-    }
-  }
-  if (decision) {
-    decision->defer_to_table = false;
-  }
   return decision;
 }
 
 std::optional<RouteDecision> IpStack::RouteLookupUncached(const RouteQuery& query) {
-  CounterRef* policy_counter = nullptr;
-  uint64_t* policy_hits = nullptr;
-  auto decision = LookupUncached(query, policy_counter, policy_hits);
-  if (decision) {
-    decision->defer_to_table = false;
-  }
-  return decision;
+  RouteQuery advisory = query;
+  advisory.advisory = true;
+  return RouteLookup(advisory);
 }
-
-void IpStack::InvalidateFlowCache() { flow_cache_->Invalidate(); }
 
 // --- Delay model ------------------------------------------------------------------
 

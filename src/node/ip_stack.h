@@ -31,7 +31,6 @@
 
 namespace msn {
 
-class FlowCache;
 class NetDevice;
 class UdpSocket;
 
@@ -59,18 +58,8 @@ struct RouteDecision {
   // itself when on-link. Any() means "destination itself".
   Ipv4Address next_hop;
 
-  // Per-packet policy accounting, carried out of the override and bumped
-  // centrally by IpStack::RouteLookup for every non-advisory query this
-  // decision answers — fresh or replayed from the flow cache, so cached
-  // hits count exactly like uncached ones. Raw pointers are safe because
-  // every mutation of the tables they point into invalidates the cache
-  // before the pointee can move (DESIGN.md §18).
-  CounterRef* policy_counter = nullptr;  // e.g. mh.*.packets_triangle_out
-  uint64_t* policy_hits = nullptr;       // matched MPT entry's hit count
-
-  // Override partial answer: the policy accounting above applies, but the
-  // forwarding answer comes from the normal routing table (the MPT's
-  // kDirect local role). Never escapes RouteLookup.
+  // Override partial answer: the forwarding answer comes from the normal
+  // routing table (the MPT's kDirect local role). Never escapes RouteLookup.
   bool defer_to_table = false;
 
   Ipv4Address EffectiveNextHop(Ipv4Address dst) const {
@@ -174,30 +163,15 @@ class IpStack {
   ArpService& arp() { return *arp_; }
   ReassemblyService& reassembly() { return *reassembly_; }
 
-  void SetRouteLookupOverride(RouteLookupOverride fn) {
-    route_override_ = std::move(fn);
-    InvalidateFlowCache();
-  }
-  void ClearRouteLookupOverride() {
-    route_override_ = nullptr;
-    InvalidateFlowCache();
-  }
+  void SetRouteLookupOverride(RouteLookupOverride fn) { route_override_ = std::move(fn); }
+  void ClearRouteLookupOverride() { route_override_ = nullptr; }
 
-  // The paper's ip_rt_route(): override first, then the routing table —
-  // fronted by the per-node flow cache when DatapathTuning enables it.
+  // The paper's ip_rt_route(): override first, then the routing table.
   [[nodiscard]] std::optional<RouteDecision> RouteLookup(const RouteQuery& query);
 
-  // The uncached lookup the cache memoizes, exposed for the fuzzer's
-  // flow-cache-coherence oracle (shadow compare) and the differential
-  // tests. Performs no per-packet counting and never touches the cache.
+  // RouteLookup as an advisory query: the same answer, with no per-packet
+  // policy counting.
   [[nodiscard]] std::optional<RouteDecision> RouteLookupUncached(const RouteQuery& query);
-
-  // Orphans every cached route decision (O(1) generation bump). Wired to
-  // every mutation a decision can depend on: route/MPT/interface changes,
-  // binding churn on the home agent, attachment changes on the mobile host,
-  // and override (de)installation.
-  void InvalidateFlowCache();
-  FlowCache& flow_cache() { return *flow_cache_; }
 
   // --- Send path -------------------------------------------------------------
 
@@ -310,14 +284,6 @@ class IpStack {
   InterfaceEntry* FindInterface(NetDevice* device);
   const InterfaceEntry* FindInterface(NetDevice* device) const;
 
-  // The real lookup behind the flow cache. Out-params receive the policy
-  // counters the answer must bump per packet — also set when the answer is
-  // "no route" but the override still matched an MPT entry (kDirect with no
-  // table route), which a nullopt return could not carry.
-  [[nodiscard]] std::optional<RouteDecision> LookupUncached(const RouteQuery& query,
-                                                            CounterRef*& policy_counter,
-                                                            uint64_t*& policy_hits);
-
   Duration DrawDelay(Duration mean, Duration jitter);
   // Kernel stages are FIFO pipelines: each packet occupies the stage for its
   // drawn cost and packets never overtake each other. Returns the absolute
@@ -359,7 +325,6 @@ class IpStack {
   Simulator& sim_;
   std::string node_name_;
   std::vector<InterfaceEntry> interfaces_;
-  std::unique_ptr<FlowCache> flow_cache_;
   RoutingTable routes_;
   std::unique_ptr<ArpService> arp_;
   std::unique_ptr<ReassemblyService> reassembly_;

@@ -19,7 +19,6 @@ std::string RouteEntry::ToString() const {
 
 void RoutingTable::Add(const RouteEntry& entry) {
   entries_.push_back(entry);
-  NotifyChanged();
 }
 
 size_t RoutingTable::Remove(const Subnet& dest, NetDevice* device) {
@@ -31,24 +30,14 @@ size_t RoutingTable::Remove(const Subnet& dest, NetDevice* device) {
 size_t RoutingTable::RemoveWhere(const std::function<bool(const RouteEntry&)>& pred) {
   const size_t before = entries_.size();
   entries_.erase(std::remove_if(entries_.begin(), entries_.end(), pred), entries_.end());
-  const size_t removed = before - entries_.size();
-  if (removed > 0) {
-    NotifyChanged();
-  }
-  return removed;
+  return before - entries_.size();
 }
 
 size_t RoutingTable::RemoveForDevice(NetDevice* device) {
   return RemoveWhere([device](const RouteEntry& e) { return e.device == device; });
 }
 
-void RoutingTable::Clear() {
-  const bool changed = !entries_.empty();
-  entries_.clear();
-  if (changed) {
-    NotifyChanged();
-  }
-}
+void RoutingTable::Clear() { entries_.clear(); }
 
 std::optional<RouteEntry> RoutingTable::Lookup(Ipv4Address dst) const {
   const RouteEntry* best = nullptr;

@@ -48,25 +48,10 @@ class RoutingTable {
   const std::vector<RouteEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
 
-  // Fired after every mutation that changed the table (Add always; the
-  // Remove variants and Clear only when entries actually went away). The
-  // owning IpStack uses it to invalidate the flow cache, so every route
-  // install — including ICMP-redirect host routes and interface
-  // configuration — orphans cached decisions without the mutator knowing
-  // about caching.
-  void SetChangeListener(std::function<void()> fn) { on_change_ = std::move(fn); }
-
   std::string ToString() const;
 
  private:
-  void NotifyChanged() {
-    if (on_change_) {
-      on_change_();
-    }
-  }
-
   std::vector<RouteEntry> entries_;
-  std::function<void()> on_change_;
 };
 
 }  // namespace msn

@@ -2,7 +2,6 @@
 
 #include "src/net/packet.h"
 #include "src/net/packet_arena.h"
-#include "src/sim/simulator.h"
 #include "src/util/buffer_pool.h"
 
 namespace msn {
@@ -58,15 +57,6 @@ void RegisterPacketPathProbes(MetricsRegistry& registry) {
   });
   registry.GetProbeGauge("pool.arena_free_nodes", [] {
     return static_cast<double>(DefaultPacketArena().stats().free_nodes);
-  });
-}
-
-void RegisterBurstProbes(MetricsRegistry& registry, Simulator& sim) {
-  registry.GetProbeGauge("burst.lane_scheduled", [&sim] {
-    return static_cast<double>(sim.queue_lane_stats().lane_scheduled);
-  });
-  registry.GetProbeGauge("burst.heap_scheduled", [&sim] {
-    return static_cast<double>(sim.queue_lane_stats().heap_scheduled);
   });
 }
 

@@ -12,8 +12,6 @@
 
 namespace msn {
 
-class Simulator;
-
 // Registers gauges over Packet::stats() (packet.copies, packet.cow_breaks,
 // packet.allocations), DefaultBufferPool().stats() (pool.hits, pool.misses,
 // pool.oversize, pool.released, pool.discarded, pool.outstanding,
@@ -23,12 +21,6 @@ class Simulator;
 // call more than once on the same registry: probes are rebound, not
 // duplicated.
 void RegisterPacketPathProbes(MetricsRegistry& registry);
-
-// Registers gauges over the simulator's event-queue immediate-lane stats
-// (burst.lane_scheduled, burst.heap_scheduled): how many events took the
-// O(1) same-instant lane versus the O(log n) heap. The simulator must
-// outlive the registry's last Collect.
-void RegisterBurstProbes(MetricsRegistry& registry, Simulator& sim);
 
 }  // namespace msn
 

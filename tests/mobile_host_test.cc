@@ -178,6 +178,40 @@ TEST_F(PolicyRoutingFixture, TriangleToRemoteDestinationUsesGateway) {
   EXPECT_EQ(d->next_hop, Testbed::RouterOn8());
 }
 
+TEST_F(PolicyRoutingFixture, TriangleLookupsCountOncePerSentPacket) {
+  const Subnet ch(tb_->ch_address(), SubnetMask(32));
+  tb_->mobile->policy_table().Set(ch, MobilePolicy::kTriangle);
+  auto entry_hits = [&] {
+    for (const MobilePolicyTable::Entry& e : tb_->mobile->policy_table().entries()) {
+      if (e.dest == ch) {
+        return e.hits;
+      }
+    }
+    ADD_FAILURE() << "triangle entry vanished";
+    return uint64_t{0};
+  };
+  const uint64_t hits_before = entry_hits();
+  const uint64_t triangle_before = tb_->mobile->counters().packets_triangle_out;
+  const RouteQuery sent{tb_->ch_address(), Ipv4Address::Any(), /*forwarding=*/false,
+                        /*advisory=*/false};
+
+  constexpr int kSent = 5;
+  for (int i = 0; i < kSent; ++i) {
+    ASSERT_TRUE(tb_->mh->stack().RouteLookup(sent).has_value());
+  }
+  EXPECT_EQ(entry_hits(), hits_before + kSent);
+  EXPECT_EQ(tb_->mobile->counters().packets_triangle_out, triangle_before + kSent);
+
+  // Advisory lookups (source selection, oracle sampling) send nothing and
+  // count nothing.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(Query(tb_->ch_address()).has_value());
+    ASSERT_TRUE(tb_->mh->stack().RouteLookupUncached(sent).has_value());
+  }
+  EXPECT_EQ(entry_hits(), hits_before + kSent);
+  EXPECT_EQ(tb_->mobile->counters().packets_triangle_out, triangle_before + kSent);
+}
+
 TEST_F(PolicyRoutingFixture, DirectPolicyUsesCareOfSource) {
   tb_->mobile->policy_table().Set(Subnet(tb_->ch_address(), SubnetMask(32)),
                                   MobilePolicy::kDirect);

@@ -8,7 +8,6 @@
 #include "src/mip/messages.h"
 #include "src/mip/policy_table.h"
 #include "src/net/checksum.h"
-#include "src/net/datapath_tuning.h"
 #include "src/net/headers.h"
 #include "src/node/routing_table.h"
 #include "src/topo/testbed.h"
@@ -379,23 +378,15 @@ TEST(TimelineStatistics, TenSwitchesAverageNearPaperNumbers) {
   EXPECT_LT(reqrep_mean, 4.79 * 1.25);
 }
 
-// --- Batch-ordering property ---------------------------------------------------------
+// --- FIFO property ---------------------------------------------------------------
 
-// FIFO delivery order must survive the burst dequeue: whatever burst size the
-// tuning picks, same-priority frames leave a zero-serialization device in
-// exactly the order they were queued, within one burst and across burst
-// boundaries. Each seed draws its own burst_max and clump schedule.
-class BurstOrderingProperty : public ::testing::TestWithParam<uint64_t> {
- protected:
-  ~BurstOrderingProperty() override { GlobalDatapathTuning().Reset(); }
-};
+// Same-priority frames leave a zero-serialization device in exactly the order
+// they were queued, even when whole clumps share one completion instant. Each
+// seed draws its own clump schedule.
+class ZeroSerializationFifoProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(BurstOrderingProperty, FifoPreservedWithinAndAcrossBursts) {
+TEST_P(ZeroSerializationFifoProperty, TransmitOrderMatchesSendOrder) {
   Rng rng(GetParam());
-  GlobalDatapathTuning().Reset();
-  GlobalDatapathTuning().device_burst_max =
-      static_cast<size_t>(rng.UniformInt(uint64_t{1}, uint64_t{8}));
-
   Simulator sim(GetParam());
   BroadcastMedium seg(sim, "seg", EthernetMediumParams());
   Node a(sim, "a");
@@ -404,15 +395,14 @@ TEST_P(BurstOrderingProperty, FifoPreservedWithinAndAcrossBursts) {
   EthernetDevice* b_dev = b.AddEthernet("eth0", &seg);
   a_dev->ForceUp();
   b_dev->ForceUp();
-  // Zero serialization delay: every queued frame's completion time
-  // coincides, which is exactly the shape the burst drain batches.
+  // Zero serialization delay: every queued frame's completion time coincides.
   a_dev->set_bandwidth_bps(0);
   a.ConfigureInterface(a_dev, "10.0.0.1/24");
   b.ConfigureInterface(b_dev, "10.0.0.2/24");
 
-  // FIFO is asserted at the transmit tap — the burst drain's output. (The
-  // far-end receive order is not FIFO even without bursts: the broadcast
-  // medium draws independent per-frame propagation jitter.)
+  // FIFO is asserted at the transmit tap. (The far-end receive order is not
+  // FIFO: the broadcast medium draws independent per-frame propagation
+  // jitter.)
   std::vector<uint16_t> transmitted;
   a_dev->SetTap([&](const EthernetFrame& frame, NetDevice::TapDirection dir) {
     if (dir != NetDevice::TapDirection::kTransmit ||
@@ -434,8 +424,7 @@ TEST_P(BurstOrderingProperty, FifoPreservedWithinAndAcrossBursts) {
       });
 
   // Clumps of sends at randomized instants: several frames hit the queue in
-  // one event wave (forcing multi-frame bursts and, past burst_max,
-  // burst-boundary crossings), clumps land at distinct times.
+  // one event wave, clumps land at distinct times.
   uint16_t next_seq = 0;
   Time at = Time::Zero();
   const int clumps = static_cast<int>(rng.UniformInt(uint64_t{4}, uint64_t{8}));
@@ -457,23 +446,13 @@ TEST_P(BurstOrderingProperty, FifoPreservedWithinAndAcrossBursts) {
   ASSERT_EQ(transmitted.size(), static_cast<size_t>(next_seq))
       << "device dropped or duplicated frames";
   for (uint16_t i = 0; i < next_seq; ++i) {
-    ASSERT_EQ(transmitted[i], i)
-        << "FIFO order broken at frame " << i << " with burst_max "
-        << GlobalDatapathTuning().device_burst_max;
+    ASSERT_EQ(transmitted[i], i) << "FIFO order broken at frame " << i;
   }
   // Lossless medium: everything also arrives, in whatever jittered order.
   EXPECT_EQ(received.size(), static_cast<size_t>(next_seq));
-
-  // Every data frame left through the burst path, and no burst overran the
-  // configured cap.
-  const NetDevice::Counters& tx = a_dev->counters();
-  EXPECT_EQ(tx.tx_burst_frames, tx.tx_frames);
-  EXPECT_GE(tx.tx_bursts,
-            (tx.tx_frames + GlobalDatapathTuning().device_burst_max - 1) /
-                GlobalDatapathTuning().device_burst_max);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BurstOrderingProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, ZeroSerializationFifoProperty,
                          ::testing::Values(7, 19, 23, 77, 1996));
 
 }  // namespace
