@@ -68,8 +68,7 @@ void RunCell(Cell& cell, uint64_t seed, BenchReport* report) {
   // the daemon, so recovery needs outage-end + retransmit + resync.
   const Duration outage_start = Seconds(4);
   FaultSchedule schedule;
-  schedule.HaOutage(outage_start, *tb.home_agent, cell.outage,
-                    /*restart_daemon=*/true);
+  schedule.HaOutage(outage_start, *tb.home_agent, cell.outage, HaOutageKind::kDaemonRestart);
   schedule.Arm(tb.sim);
 
   const Time fault_clear = tb.sim.Now() + outage_start + cell.outage;

@@ -54,9 +54,7 @@ struct ChainResult {
   uint64_t packet_copies = 0;      // Deep copies made during the run.
   uint64_t packet_cow_breaks = 0;  // Subset forced by shared storage.
   uint64_t packet_allocations = 0;
-  // Event-engine immediate-lane totals.
-  uint64_t lane_scheduled = 0;
-  uint64_t heap_scheduled = 0;
+  uint64_t heap_scheduled = 0;  // Event-queue schedules.
   double wall_sec = 0.0;
 };
 
@@ -148,7 +146,6 @@ ChainResult RunForwardingChain(int hops, int packets, size_t payload_bytes, uint
   result.packet_copies = after.copies - before.copies;
   result.packet_cow_breaks = after.cow_breaks - before.cow_breaks;
   result.packet_allocations = after.allocations - before.allocations;
-  result.lane_scheduled = sim.queue_lane_stats().lane_scheduled;
   result.heap_scheduled = sim.queue_lane_stats().heap_scheduled;
   result.wall_sec = WallSeconds(start, end);
   return result;
@@ -240,7 +237,6 @@ int Main() {
                    {"packet_copies", r.packet_copies},
                    {"packet_cow_breaks", r.packet_cow_breaks},
                    {"packet_allocations", r.packet_allocations},
-                   {"lane_scheduled", r.lane_scheduled},
                    {"heap_scheduled", r.heap_scheduled},
                    {"wall_ms", r.wall_sec * 1e3},
                    {"fwd_pps", pps},
@@ -252,21 +248,14 @@ int Main() {
   report.AddSummary("copies_per_hop", "copies", copies_per_hop_samples);
 
   const BufferPool::Stats pool = DefaultBufferPool().stats();
-  std::printf("\npool: hits=%llu misses=%llu oversize=%llu free=%llu outstanding=%llu\n",
-              static_cast<unsigned long long>(pool.hits),
+  std::printf("\npool: misses=%llu oversize=%llu outstanding=%llu\n",
               static_cast<unsigned long long>(pool.misses),
               static_cast<unsigned long long>(pool.oversize),
-              static_cast<unsigned long long>(pool.free_blocks),
               static_cast<unsigned long long>(pool.outstanding));
-  report.AddRow("pool", {{"hits", pool.hits},
-                         {"misses", pool.misses},
+  report.AddRow("pool", {{"misses", pool.misses},
                          {"oversize", pool.oversize},
                          {"released", pool.released},
-                         {"discarded", pool.discarded},
-                         {"free_blocks", pool.free_blocks},
-                         {"outstanding", pool.outstanding},
-                         {"batch_acquires", pool.batch_acquires},
-                         {"batch_releases", pool.batch_releases}});
+                         {"outstanding", pool.outstanding}});
 
   const PacketArena::Stats arena = DefaultPacketArena().stats();
   std::printf("arena: allocs=%llu recycled=%llu refills=%llu free=%llu\n",

@@ -164,7 +164,8 @@ RunResult RunScenario(const ScenarioSpec& spec, const RunOptions& options) {
         faults.ClearProfile(f.at, injector_for(f.medium));
         break;
       case FaultEventSpec::Kind::kHaOutage:
-        faults.HaOutage(f.at, *tb.home_agent, f.length, f.restart);
+        faults.HaOutage(f.at, *tb.home_agent, f.length,
+                        f.restart ? HaOutageKind::kDaemonRestart : HaOutageKind::kService);
         break;
       case FaultEventSpec::Kind::kHaCrash:
         // length 0 = the primary never rejoins; the backup carries the run.

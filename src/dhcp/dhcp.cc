@@ -58,7 +58,7 @@ std::optional<DhcpMessage> DhcpMessage::Parse(const std::vector<uint8_t>& bytes)
 
 DhcpServer::DhcpServer(Node& node, Config config) : node_(node), config_(config) {
   for (uint32_t i = 0; i < config_.pool_size; ++i) {
-    free_list_.push_back(config_.subnet.HostAt(config_.first_host_index + i));
+    free_addresses_.push_back(config_.subnet.HostAt(config_.first_host_index + i));
   }
   socket_ = std::make_unique<UdpSocket>(node_.stack());
   MSN_CHECK(socket_->Bind(kDhcpServerPort)) << "dhcp server port";
@@ -71,10 +71,10 @@ DhcpServer::DhcpServer(Node& node, Config config) : node_(node), config_(config)
 DhcpServer::~DhcpServer() = default;
 
 std::optional<Ipv4Address> DhcpServer::PeekNextFree() const {
-  if (free_list_.empty()) {
+  if (free_addresses_.empty()) {
     return std::nullopt;
   }
-  return free_list_.front();
+  return free_addresses_.front();
 }
 
 void DhcpServer::ExpireLeases() {
@@ -83,7 +83,7 @@ void DhcpServer::ExpireLeases() {
     if (it->second.expires <= now) {
       // Expired addresses rejoin the *back* of the free list (reassignment
       // avoidance).
-      free_list_.push_back(it->second.address);
+      free_addresses_.push_back(it->second.address);
       it = leases_by_mac_.erase(it);
     } else {
       ++it;
@@ -97,12 +97,12 @@ std::optional<Ipv4Address> DhcpServer::AllocateFor(MacAddress mac) {
   if (it != leases_by_mac_.end()) {
     return it->second.address;  // Same client keeps its address.
   }
-  if (free_list_.empty()) {
+  if (free_addresses_.empty()) {
     ++counters_.pool_exhausted;
     return std::nullopt;
   }
-  const Ipv4Address addr = free_list_.front();
-  free_list_.pop_front();
+  const Ipv4Address addr = free_addresses_.front();
+  free_addresses_.pop_front();
   return addr;
 }
 
@@ -111,7 +111,7 @@ void DhcpServer::ReleaseAddress(MacAddress mac) {
   if (it == leases_by_mac_.end()) {
     return;
   }
-  free_list_.push_back(it->second.address);
+  free_addresses_.push_back(it->second.address);
   leases_by_mac_.erase(it);
 }
 

@@ -108,7 +108,7 @@ class DhcpServer {
   std::unique_ptr<UdpSocket> socket_;
   std::map<MacAddress, Lease> leases_by_mac_;
   // Free addresses in least-recently-used order: reassignment avoidance.
-  std::deque<Ipv4Address> free_list_;
+  std::deque<Ipv4Address> free_addresses_;
   Counters counters_;
 };
 

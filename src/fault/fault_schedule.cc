@@ -30,14 +30,6 @@ FaultSchedule& FaultSchedule::ClearProfile(Duration at, FaultInjector& injector)
 }
 
 FaultSchedule& FaultSchedule::HaOutage(Duration at, HomeAgent& ha, Duration length,
-                                       bool restart_daemon) {
-  At(at, std::string("ha-outage begin") + (restart_daemon ? " (daemon restart)" : ""),
-     [&ha, restart_daemon] { ha.BeginOutage(restart_daemon); });
-  At(at + length, "ha-outage end", [&ha] { ha.EndOutage(); });
-  return *this;
-}
-
-FaultSchedule& FaultSchedule::HaOutage(Duration at, HomeAgent& ha, Duration length,
                                        HaOutageKind kind) {
   const char* label = kind == HaOutageKind::kFailStop       ? " (fail-stop)"
                       : kind == HaOutageKind::kDaemonRestart ? " (daemon restart)"

@@ -41,14 +41,10 @@ class FaultSchedule {
   FaultSchedule& ClearProfile(Duration at, FaultInjector& injector);
 
   // Home-agent outage window: UDP 434 requests are silently dropped from `at`
-  // until `at + length`. With `restart_daemon`, the outage also wipes the
-  // binding table and identification history, modeling a daemon restart; the
-  // recovering HA then forces each mobile host to resynchronize.
-  FaultSchedule& HaOutage(Duration at, HomeAgent& ha, Duration length,
-                          bool restart_daemon = false);
-
-  // Kind-aware variant (fail-stop crash, daemon restart, or plain service
-  // outage — see HaOutageKind in src/mip/home_agent.h).
+  // until `at + length`. `kind` says what else the outage does (a daemon
+  // restart also wipes the binding table and identification history, and the
+  // recovering HA then forces each mobile host to resynchronize) — see
+  // HaOutageKind in src/mip/home_agent.h.
   FaultSchedule& HaOutage(Duration at, HomeAgent& ha, Duration length, HaOutageKind kind);
 
   // Fail-stop crash of the whole agent: nothing is served, arriving packets

@@ -298,10 +298,6 @@ void HomeAgent::BeginOutage(HaOutageKind kind) {
   }
 }
 
-void HomeAgent::BeginOutage(bool restart_daemon) {
-  BeginOutage(restart_daemon ? HaOutageKind::kDaemonRestart : HaOutageKind::kService);
-}
-
 void HomeAgent::EndOutage() {
   service_available_ = true;
   if (crashed_) {

@@ -199,8 +199,8 @@ class HomeAgent {
     uint64_t requests_dropped_crashed = 0;
     // Tunnel packets (either direction) that arrived at a crashed agent.
     uint64_t tunnel_drops_crashed = 0;
-    // Bindings discarded by a daemon restart (BeginOutage(restart=true)) or a
-    // fail-stop rejoin.
+    // Bindings discarded by a daemon restart (HaOutageKind::kDaemonRestart)
+    // or a fail-stop rejoin.
     uint64_t bindings_wiped = 0;
     // Post-restart registrations denied once with kDeniedIdentificationMismatch
     // to re-anchor the replay window.
@@ -238,10 +238,8 @@ class HomeAgent {
   // Fault hooks (driven by FaultSchedule::HaOutage / HaCrash). During any
   // outage every UDP 434 request is dropped without a reply — from the MH's
   // point of view the agent is simply unreachable. See HaOutageKind for what
-  // else each flavor does. The bool overload keeps the historical meaning:
-  // restart_daemon=false -> kService, true -> kDaemonRestart.
+  // else each flavor does.
   void BeginOutage(HaOutageKind kind);
-  void BeginOutage(bool restart_daemon = false);
   void EndOutage();
   bool service_available() const { return service_available_; }
   bool crashed() const { return crashed_; }

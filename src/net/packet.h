@@ -17,9 +17,9 @@
 // pay for isolation. Single-threaded by design, like the rest of the core.
 //
 // Storage is an intrusively ref-counted PacketStorage node recycled through
-// the PacketArena (src/net/packet_arena.h): no shared_ptr control block, no
-// atomics, and no per-packet BufferPool traffic — the pool is touched once
-// per arena slab, not once per packet.
+// the PacketArena (src/net/packet_arena.h), the only buffer recycler: no
+// shared_ptr control block, no atomics, and no per-packet BufferPool traffic
+// — the pool only sizes the buffers of new nodes when the arena refills.
 //
 // Accounting: every deep byte copy made by this class is counted in
 // Stats::copies (with the shared-storage subset in Stats::cow_breaks); the

@@ -3,20 +3,24 @@
 #include <utility>
 
 namespace msn {
+namespace {
 
-PacketArena::PacketArena(BufferPool& pool, size_t max_free)
-    : pool_(pool), max_free_(max_free) {}
+// Free-list cap: the arena keeps at most this many idle nodes (32 MiB of
+// buffers at the default block size). Sized so a burst of ~10k in-flight
+// packets — the scale of the datapath benches — recycles entirely; memory is
+// only ever held after such a burst actually happened.
+constexpr size_t kMaxFreeNodes = 16384;
+
+}  // namespace
 
 PacketArena::~PacketArena() { Trim(); }
 
 void PacketArena::Refill() {
   ++stats_.refills;
-  std::vector<std::vector<uint8_t>> bufs;
-  pool_.AcquireBatch(pool_.block_bytes(), kSlabNodes, bufs);
-  free_.reserve(free_.size() + bufs.size());
-  for (auto& buf : bufs) {
+  free_.reserve(free_.size() + kSlabNodes);
+  for (size_t i = 0; i < kSlabNodes; ++i) {
     auto* node = new PacketStorage;
-    node->bytes = std::move(buf);
+    node->bytes = pool_.Acquire(pool_.block_bytes());
     node->pool = &pool_;
     node->arena = this;
     ++stats_.node_allocs;
@@ -47,7 +51,7 @@ PacketStorage* PacketArena::Acquire(size_t size) {
 }
 
 void PacketArena::Recycle(PacketStorage* node) {
-  if (node->bytes.capacity() != pool_.block_bytes() || free_.size() >= max_free_) {
+  if (node->bytes.capacity() != pool_.block_bytes() || free_.size() >= kMaxFreeNodes) {
     pool_.Release(std::move(node->bytes));
     delete node;
     return;
@@ -61,16 +65,13 @@ void PacketArena::Trim() {
     return;
   }
   ++stats_.drains;
-  std::vector<std::vector<uint8_t>> bufs;
-  bufs.reserve(free_.size());
   for (PacketStorage* node : free_) {
-    bufs.push_back(std::move(node->bytes));
+    pool_.Release(std::move(node->bytes));
     delete node;
   }
   free_.clear();
   free_.shrink_to_fit();
   stats_.free_nodes = 0;
-  pool_.ReleaseBatch(bufs);
 }
 
 PacketArena& DefaultPacketArena() {

@@ -1,14 +1,13 @@
-// Arena recycler for packet storage nodes (DESIGN.md §18).
+// Arena recycler for packet storage nodes (DESIGN.md §18), and the only
+// recycler of packet buffers.
 //
-// PR 4 made the datapath zero-copy, which left two per-packet costs on the
-// hot path: the shared_ptr control-block allocation for every Storage node
-// and a BufferPool free-list transaction per wire buffer. The arena removes
-// both. Packet storage is now an intrusively ref-counted PacketStorage node
-// (single-threaded core: a plain uint32 refcount, no atomics), and the arena
-// keeps dead nodes — header and pooled byte vector together — on a free
-// list. Steady-state per-packet allocation cost is a pointer pop on acquire
-// and a pointer push on release; the BufferPool is only touched in bulk, one
-// AcquireBatch per slab refill and one ReleaseBatch per overflow drain.
+// Packet storage is an intrusively ref-counted PacketStorage node
+// (single-threaded core: a plain uint32 refcount, no atomics, no shared_ptr
+// control block), and the arena keeps dead nodes — header and block-capacity
+// byte vector together — on a free list. Steady-state per-packet allocation
+// cost is a pointer pop on acquire and a pointer push on release; the
+// BufferPool (src/util/buffer_pool.h) only sizes the buffers of new nodes,
+// one Acquire per node when a slab refill runs.
 //
 // Oversize storage (beyond the pool block) and adopted producer vectors
 // bypass the arena: they are heap-built, heap-freed, never recycled.
@@ -40,21 +39,18 @@ struct PacketStorage {
 
 class PacketArena {
  public:
-  // Nodes pulled from the BufferPool per refill: one pool interaction
-  // amortized over a burst of packet allocations.
+  // Nodes built per refill, amortized over a burst of packet allocations.
   static constexpr size_t kSlabNodes = 64;
-  // Free-list cap, matched to the pool's own retention bound.
-  static constexpr size_t kDefaultMaxFree = BufferPool::kDefaultMaxFree;
 
   struct Stats {
     uint64_t node_allocs = 0;  // PacketStorage nodes heap-allocated.
     uint64_t recycled = 0;     // Acquires served from the free list.
-    uint64_t refills = 0;      // Slab refills (bulk pool acquires).
-    uint64_t drains = 0;       // Overflow drains (bulk pool releases).
+    uint64_t refills = 0;      // Slab refills.
+    uint64_t drains = 0;       // Trim calls that released idle nodes.
     size_t free_nodes = 0;     // Nodes idle on the free list now.
   };
 
-  explicit PacketArena(BufferPool& pool, size_t max_free = kDefaultMaxFree);
+  explicit PacketArena(BufferPool& pool) : pool_(pool) {}
   ~PacketArena();
 
   PacketArena(const PacketArena&) = delete;
@@ -72,15 +68,14 @@ class PacketArena {
   const Stats& stats() const { return stats_; }
   BufferPool& pool() { return pool_; }
 
-  // Returns all idle nodes' buffers to the pool in one batch and frees the
-  // nodes (tests; bounding peak memory between phases).
+  // Returns every idle node's buffer to the pool and frees the node (tests;
+  // bounding peak memory between phases).
   void Trim();
 
  private:
   void Refill();
 
   BufferPool& pool_;
-  const size_t max_free_;
   std::vector<PacketStorage*> free_;
   Stats stats_;
 };

@@ -18,19 +18,9 @@ EventId EventQueue::Schedule(Time when, Callback cb) {
   }
   const uint32_t gen = slots_[slot].gen;
   slots_[slot].cb = std::move(cb);
-  const uint64_t seq = next_seq_++;
-  if (lane_open_ && when == lane_time_) {
-    // Fires during the wave currently being drained: FIFO lane, no sift.
-    // Ordering vs heap items at the same time is preserved because those all
-    // predate the drain and carry smaller sequence numbers (PopNext prefers
-    // the heap on equal timestamps).
-    lane_.push_back(Item{when, seq, slot, gen});
-    ++lane_stats_.lane_scheduled;
-  } else {
-    heap_.push_back(Item{when, seq, slot, gen});
-    std::push_heap(heap_.begin(), heap_.end(), After);
-    ++lane_stats_.heap_scheduled;
-  }
+  heap_.push_back(Item{when, next_seq_++, slot, gen});
+  std::push_heap(heap_.begin(), heap_.end(), After);
+  ++lane_stats_.heap_scheduled;
   ++live_count_;
   return EventId((static_cast<uint64_t>(gen) << 32) | (slot + 1));
 }
@@ -62,65 +52,22 @@ void EventQueue::DropCancelledHead() {
   }
 }
 
-void EventQueue::DropCancelledLaneFront() {
-  while (lane_head_ < lane_.size() &&
-         slots_[lane_[lane_head_].slot].gen != lane_[lane_head_].gen) {
-    ++lane_head_;
-  }
-  if (lane_head_ == lane_.size()) {
-    lane_.clear();
-    lane_head_ = 0;
-  }
-}
-
 Time EventQueue::NextTime() const {
   // Tombstone at the top can hide a later live event; peel lazily. Logically
   // const: live events and their order are unchanged.
-  auto* self = const_cast<EventQueue*>(this);
-  self->DropCancelledHead();
-  self->DropCancelledLaneFront();
-  const bool lane_live = lane_head_ < lane_.size();
-  if (heap_.empty()) {
-    return lane_live ? lane_[lane_head_].when : Time::Max();
-  }
-  if (lane_live && lane_[lane_head_].when < heap_.front().when) {
-    return lane_[lane_head_].when;
-  }
-  return heap_.front().when;
-}
-
-EventQueue::Entry EventQueue::TakeItem(const Item& item) {
-  const uint32_t slot = item.slot;
-  Entry entry{item.when, std::move(slots_[slot].cb)};
-  ++slots_[slot].gen;
-  free_slots_.push_back(slot);
-  --live_count_;
-  lane_time_ = entry.when;
-  lane_open_ = true;
-  return entry;
+  const_cast<EventQueue*>(this)->DropCancelledHead();
+  return heap_.empty() ? Time::Max() : heap_.front().when;
 }
 
 EventQueue::Entry EventQueue::PopNext() {
   DropCancelledHead();
-  DropCancelledLaneFront();
-  const bool lane_live = lane_head_ < lane_.size();
-  MSN_ASSERT(!heap_.empty() || lane_live) << "PopNext on an empty event queue";
-  // On equal timestamps the heap wins: every live heap item at the lane time
-  // was scheduled before the drain opened the lane, so its seq is smaller
-  // than any lane item's.
-  const bool from_heap =
-      !heap_.empty() && (!lane_live || heap_.front().when <= lane_[lane_head_].when);
-  if (from_heap) {
-    Entry entry = TakeItem(heap_.front());
-    PopHeapItem();
-    return entry;
-  }
-  Entry entry = TakeItem(lane_[lane_head_]);
-  ++lane_head_;
-  if (lane_head_ == lane_.size()) {
-    lane_.clear();
-    lane_head_ = 0;
-  }
+  MSN_ASSERT(!heap_.empty()) << "PopNext on an empty event queue";
+  const uint32_t slot = heap_.front().slot;
+  Entry entry{heap_.front().when, std::move(slots_[slot].cb)};
+  ++slots_[slot].gen;
+  free_slots_.push_back(slot);
+  --live_count_;
+  PopHeapItem();
   return entry;
 }
 

@@ -14,15 +14,10 @@
 // events pop in (time, schedule order). The sequence number that breaks ties
 // is assigned in Schedule call order, exactly as in the original
 // priority_queue + unordered_map implementation, so pop order is identical.
-//
-// Immediate lane: events scheduled for exactly the timestamp currently being
-// drained skip the heap and go to a FIFO side lane (the dominant pattern on
-// the datapath: zero-delay pipeline continuations chained from a running
-// callback). The lane is provably order-identical to the heap path — any
-// heap item at the drain time predates the drain and so carries a smaller
-// sequence number than every lane item, and PopNext drains heap-at-t before
-// lane-at-t — but costs O(1) push/pop instead of two O(log n) sifts. Lane
-// items keep their slot + generation, so Cancel semantics are unchanged.
+// Every event goes through the one heap, including one scheduled for the
+// timestamp currently being drained: its sequence number is larger than
+// that of every pending event at that time, so it fires after them with no
+// special case (DESIGN.md §18).
 #ifndef MSN_SRC_SIM_EVENT_QUEUE_H_
 #define MSN_SRC_SIM_EVENT_QUEUE_H_
 
@@ -57,7 +52,7 @@ class EventQueue {
   EventId Schedule(Time when, Callback cb);
 
   // Cancels a pending event. Returns true if the event was still pending.
-  // The callback itself is destroyed when its heap item is popped.
+  // The callback is destroyed now; its heap item is skipped when it surfaces.
   bool Cancel(EventId id);
 
   bool empty() const { return live_count_ == 0; }
@@ -73,10 +68,10 @@ class EventQueue {
   };
   Entry PopNext();
 
-  // Scheduling-path split since construction; feeds the burst.* probes.
+  // Schedule count since construction, read by perfbench/msn_perfbench.cc.
   struct LaneStats {
-    uint64_t lane_scheduled = 0;  // O(1) immediate-lane pushes.
-    uint64_t heap_scheduled = 0;  // O(log n) heap pushes.
+    uint64_t lane_scheduled = 0;  // Always 0: no lane; kept for perfbench.
+    uint64_t heap_scheduled = 0;  // Every Schedule call.
   };
   const LaneStats& lane_stats() const { return lane_stats_; }
 
@@ -106,18 +101,9 @@ class EventQueue {
     return slots_[heap_.front().slot].gen != heap_.front().gen;
   }
   void DropCancelledHead();
-  void DropCancelledLaneFront();
   void PopHeapItem();
-  Entry TakeItem(const Item& item);
 
   std::vector<Item> heap_;
-  // Immediate lane: FIFO of items scheduled at exactly `lane_time_` while it
-  // was the drain front. Consumed from `lane_head_`; storage resets when the
-  // lane empties so it never grows past one drain wave.
-  std::vector<Item> lane_;
-  size_t lane_head_ = 0;
-  Time lane_time_ = Time::Zero();
-  bool lane_open_ = false;  // False until the first PopNext defines lane_time_.
   LaneStats lane_stats_;
   // Callback arena. A generation mismatch between a Slot and an Item marks
   // that item cancelled. Slots return to the free list as soon as the

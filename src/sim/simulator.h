@@ -52,7 +52,8 @@ class Simulator {
   // pending same-time event.
   Time NextEventTime() const { return queue_.NextTime(); }
 
-  // Scheduling-path split (immediate lane vs heap) for the burst.* probes.
+  // Schedule count since construction (lane_scheduled is always 0); read by
+  // perfbench/msn_perfbench.cc and bench_packet_path.
   const EventQueue::LaneStats& queue_lane_stats() const { return queue_.lane_stats(); }
 
  private:

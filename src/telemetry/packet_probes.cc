@@ -16,9 +16,6 @@ void RegisterPacketPathProbes(MetricsRegistry& registry) {
   registry.GetProbeGauge("packet.allocations", [] {
     return static_cast<double>(Packet::stats().allocations);
   });
-  registry.GetProbeGauge("pool.hits", [] {
-    return static_cast<double>(DefaultBufferPool().stats().hits);
-  });
   registry.GetProbeGauge("pool.misses", [] {
     return static_cast<double>(DefaultBufferPool().stats().misses);
   });
@@ -28,20 +25,8 @@ void RegisterPacketPathProbes(MetricsRegistry& registry) {
   registry.GetProbeGauge("pool.released", [] {
     return static_cast<double>(DefaultBufferPool().stats().released);
   });
-  registry.GetProbeGauge("pool.discarded", [] {
-    return static_cast<double>(DefaultBufferPool().stats().discarded);
-  });
   registry.GetProbeGauge("pool.outstanding", [] {
     return static_cast<double>(DefaultBufferPool().stats().outstanding);
-  });
-  registry.GetProbeGauge("pool.free_blocks", [] {
-    return static_cast<double>(DefaultBufferPool().stats().free_blocks);
-  });
-  registry.GetProbeGauge("pool.batch_acquires", [] {
-    return static_cast<double>(DefaultBufferPool().stats().batch_acquires);
-  });
-  registry.GetProbeGauge("pool.batch_releases", [] {
-    return static_cast<double>(DefaultBufferPool().stats().batch_releases);
   });
   registry.GetProbeGauge("pool.arena_node_allocs", [] {
     return static_cast<double>(DefaultPacketArena().stats().node_allocs);

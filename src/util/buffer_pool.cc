@@ -1,29 +1,14 @@
 #include "src/util/buffer_pool.h"
 
-#include <utility>
-
 namespace msn {
 
-BufferPool::BufferPool(size_t block_bytes, size_t max_free)
-    : block_bytes_(block_bytes), max_free_(max_free) {}
-
 std::vector<uint8_t> BufferPool::Acquire(size_t size) {
+  ++stats_.outstanding;
   if (size > block_bytes_) {
     ++stats_.oversize;
-    ++stats_.outstanding;
     return std::vector<uint8_t>(size);
   }
-  if (!free_list_.empty()) {
-    std::vector<uint8_t> buf = std::move(free_list_.back());
-    free_list_.pop_back();
-    buf.resize(size);
-    ++stats_.hits;
-    ++stats_.outstanding;
-    stats_.free_blocks = free_list_.size();
-    return buf;
-  }
   ++stats_.misses;
-  ++stats_.outstanding;
   std::vector<uint8_t> buf;
   buf.reserve(block_bytes_);
   buf.resize(size);
@@ -35,38 +20,7 @@ void BufferPool::Release(std::vector<uint8_t>&& buf) {
   if (stats_.outstanding > 0) {
     --stats_.outstanding;
   }
-  // Exact-capacity match only: keeping oversize buffers would let the free
-  // list silently pin large allocations, and undersized ones would fail the
-  // next in-place resize to block size.
-  if (buf.capacity() != block_bytes_ || free_list_.size() >= max_free_) {
-    ++stats_.discarded;
-    return;
-  }
-  free_list_.push_back(std::move(buf));
-  stats_.free_blocks = free_list_.size();
-}
-
-void BufferPool::AcquireBatch(size_t size, size_t count,
-                              std::vector<std::vector<uint8_t>>& out) {
-  ++stats_.batch_acquires;
-  out.reserve(out.size() + count);
-  for (size_t i = 0; i < count; ++i) {
-    out.push_back(Acquire(size));
-  }
-}
-
-void BufferPool::ReleaseBatch(std::vector<std::vector<uint8_t>>& bufs) {
-  ++stats_.batch_releases;
-  for (auto& buf : bufs) {
-    Release(std::move(buf));
-  }
-  bufs.clear();
-}
-
-void BufferPool::Trim() {
-  free_list_.clear();
-  free_list_.shrink_to_fit();
-  stats_.free_blocks = 0;
+  std::vector<uint8_t>().swap(buf);
 }
 
 BufferPool& DefaultBufferPool() {

@@ -1,14 +1,16 @@
-// Free-list pool of byte buffers for packet storage.
+// Block-size policy for packet byte buffers.
 //
 // Every frame that crosses a link needs one contiguous wire-image buffer.
-// Allocating and freeing those per hop is the dominant allocator traffic in a
-// forwarding simulation, so the pool keeps returned buffers on a free list
-// and hands them back with their capacity intact. The simulation core is
-// single-threaded by design (see DESIGN.md), so there is no locking.
+// Requests up to one block get a vector with the block's full capacity, so
+// the packet arena (src/net/packet_arena.h) can recycle it for any later
+// block-sized packet; larger requests get an exact-size oversize vector.
+// The arena is the only recycler; the pool only counts what it hands out and
+// takes back. The simulation core is single-threaded by design (see
+// DESIGN.md), so there is no locking.
 //
 // Layering: util must not depend on telemetry, so the pool exposes a raw
-// stats snapshot; src/net/packet.cc registers registry-backed probe gauges
-// over it.
+// stats snapshot; src/telemetry/packet_probes.cc registers registry-backed
+// probe gauges over it.
 #ifndef MSN_SRC_UTIL_BUFFER_POOL_H_
 #define MSN_SRC_UTIL_BUFFER_POOL_H_
 
@@ -23,61 +25,32 @@ class BufferPool {
   // Default block covers an Ethernet MTU frame (1500 B payload + link and
   // tunnel headers) with headroom to spare; larger requests bypass the pool.
   static constexpr size_t kDefaultBlockBytes = 2048;
-  // Free-list cap: the pool retains at most this many idle blocks (32 MiB at
-  // the default block size). Sized so a burst of ~10k in-flight packets —
-  // the scale of the datapath benches — recycles entirely from the free
-  // list; memory is only ever held after such a burst actually happened.
-  static constexpr size_t kDefaultMaxFree = 16384;
 
   struct Stats {
-    uint64_t hits = 0;       // Acquire served from the free list.
-    uint64_t misses = 0;     // Acquire that had to allocate a new block.
-    uint64_t oversize = 0;   // Acquire larger than a block (never pooled).
-    uint64_t released = 0;   // Buffers handed back via Release.
-    uint64_t discarded = 0;  // Released buffers dropped (free list full or
-                             // foreign capacity).
+    uint64_t hits = 0;         // Always 0: no free list; kept for perfbench.
+    uint64_t misses = 0;       // Acquire that allocated a block-capacity buffer.
+    uint64_t oversize = 0;     // Acquire larger than a block.
+    uint64_t released = 0;     // Buffers handed back via Release.
     uint64_t outstanding = 0;  // Acquired buffers not yet released.
-    size_t free_blocks = 0;    // Blocks sitting on the free list now.
-    uint64_t batch_acquires = 0;  // AcquireBatch calls (bulk refills).
-    uint64_t batch_releases = 0;  // ReleaseBatch calls (bulk drains).
   };
 
-  explicit BufferPool(size_t block_bytes = kDefaultBlockBytes,
-                      size_t max_free = kDefaultMaxFree);
+  explicit BufferPool(size_t block_bytes = kDefaultBlockBytes) : block_bytes_(block_bytes) {}
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  // Returns a buffer of exactly `size` bytes (value-initialized only when
-  // freshly allocated; pooled blocks carry stale bytes — callers overwrite).
-  // Requests at most block_bytes() come from the free list when possible.
+  // Returns a value-initialized buffer of exactly `size` bytes. Requests at
+  // most block_bytes() carry block_bytes() of capacity.
   [[nodiscard]] std::vector<uint8_t> Acquire(size_t size);
 
-  // Hands a buffer back. Only buffers whose capacity matches a pool block are
-  // kept; anything else (oversize or externally built) is freed here.
+  // Counts a buffer's return and frees it.
   void Release(std::vector<uint8_t>&& buf);
-
-  // Bulk refill for the packet arena (src/net/packet_arena.h): appends
-  // `count` block-sized buffers of `size` bytes each to `out` in one pool
-  // interaction. Per-buffer hits/misses accounting is unchanged; the
-  // amortization shows up in batch_acquires staying orders of magnitude
-  // below hits + misses. Requires size <= block_bytes().
-  void AcquireBatch(size_t size, size_t count, std::vector<std::vector<uint8_t>>& out);
-
-  // Bulk release: drains `bufs` back to the free list in one pool
-  // interaction. Same per-buffer retention rule as Release.
-  void ReleaseBatch(std::vector<std::vector<uint8_t>>& bufs);
 
   size_t block_bytes() const { return block_bytes_; }
   const Stats& stats() const { return stats_; }
 
-  // Drops all pooled blocks (tests; bounding peak memory between phases).
-  void Trim();
-
  private:
   const size_t block_bytes_;
-  const size_t max_free_;
-  std::vector<std::vector<uint8_t>> free_list_;
   Stats stats_;
 };
 

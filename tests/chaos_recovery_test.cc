@@ -66,8 +66,7 @@ TEST_F(ChaosFixture, RecoversFromHaRestartUnderBurstLoss) {
 
   FaultSchedule schedule;
   schedule.Profile(Duration(), injector, bursty)
-      .HaOutage(Milliseconds(500), *tb_->home_agent, Seconds(6),
-                /*restart_daemon=*/true)
+      .HaOutage(Milliseconds(500), *tb_->home_agent, Seconds(6), HaOutageKind::kDaemonRestart)
       .ClearProfile(Seconds(15), injector);
   schedule.Arm(tb_->sim);
   tb_->RunFor(Seconds(30));
@@ -109,8 +108,7 @@ TEST(ChaosDeterminismTest, SameSeedSameRecovery) {
     bursty.burst_loss = GilbertElliottParams{0.12, 0.28, 0.0, 1.0};
     FaultSchedule schedule;
     schedule.Profile(Duration(), injector, bursty)
-        .HaOutage(Milliseconds(500), *tb.home_agent, Seconds(6),
-                  /*restart_daemon=*/true)
+        .HaOutage(Milliseconds(500), *tb.home_agent, Seconds(6), HaOutageKind::kDaemonRestart)
         .ClearProfile(Seconds(15), injector);
     schedule.Arm(tb.sim);
     tb.RunFor(Seconds(30));
@@ -158,7 +156,7 @@ TEST_F(ChaosFixture, BackoffBoundsRetransmitRateDuringOutage) {
 
     // Outage spans many renewal retransmissions; no daemon restart.
     FaultSchedule schedule;
-    schedule.HaOutage(Seconds(1), *tb.home_agent, Seconds(50));
+    schedule.HaOutage(Seconds(1), *tb.home_agent, Seconds(50), HaOutageKind::kService);
     schedule.Arm(tb.sim);
     const uint64_t sent_before = tb.mobile->counters().registrations_sent;
     tb.RunFor(Seconds(60));

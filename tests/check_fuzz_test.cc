@@ -157,7 +157,7 @@ RunOptions PermanentHaOutage() {
   RunOptions options;
   options.instrument = [](Testbed& tb) {
     HomeAgent* ha = tb.home_agent.get();
-    tb.sim.Schedule(Seconds(20), [ha] { ha->BeginOutage(false); });
+    tb.sim.Schedule(Seconds(20), [ha] { ha->BeginOutage(HaOutageKind::kService); });
   };
   return options;
 }

@@ -117,25 +117,38 @@ class LexicalBackendTest(unittest.TestCase):
                         "}\n")
         self.assertEqual(self.run_lexical(), [])
 
-    # --- determinism/wall-clock + ambient-rng (fallback reuses msn_lint) -----
+    # --- determinism/wall-clock + ambient-rng ---------------------------------
 
     def test_wall_clock_flagged(self):
-        self.tree.write("src/node/bad.cc", "long t = time(nullptr);\n")
-        self.assertEqual(rules_of(self.run_lexical()), ["determinism/wall-clock"])
+        self.tree.write("src/node/bad.cc",
+                        "long t = time(nullptr);\n"
+                        "auto u = std::chrono::steady_clock::now();\n"
+                        "auto v = std::chrono::system_clock::now();\n")
+        self.assertEqual(rules_of(self.run_lexical()), ["determinism/wall-clock"] * 3)
 
     def test_ambient_rng_flagged(self):
-        self.tree.write("src/node/bad.cc", "std::mt19937 gen(42);\n")
-        self.assertEqual(rules_of(self.run_lexical()), ["determinism/ambient-rng"])
+        self.tree.write("src/node/bad.cc",
+                        "std::mt19937 gen(42);\n"
+                        "int a = std::rand();\n"
+                        "std::random_device rd;\n")
+        self.assertEqual(rules_of(self.run_lexical()), ["determinism/ambient-rng"] * 3)
 
     def test_sim_clock_and_msn_rng_ok(self):
+        # Comments, string literals and identifiers that merely end in
+        # "time" are not time sources.
         self.tree.write("src/node/ok.cc",
                         "auto now = sim_.Now();\n"
-                        "double d = rng_.UniformDouble();\n")
+                        "double d = rng_.UniformDouble();\n"
+                        "// Never call time(nullptr) or std::rand() here.\n"
+                        'const char* doc = "time(nullptr)";\n'
+                        "set_bring_up_time(d); auto x = bring_up_time();\n")
         self.assertEqual(self.run_lexical(), [])
 
     def test_wall_clock_allow_comment(self):
         self.tree.write("src/node/ok.cc",
-                        "long t = time(nullptr);  // msn-analyze: allow(determinism/wall-clock)\n")
+                        "long t = time(nullptr);  // msn-analyze: allow(determinism/wall-clock)\n"
+                        "// msn-analyze: allow(determinism/ambient-rng)\n"
+                        "std::mt19937 gen(seed);\n")
         self.assertEqual(self.run_lexical(), [])
 
     # --- api/nodiscard (lexical: headers only) --------------------------------
