@@ -190,8 +190,7 @@ void DhcpServer::OnDatagram(const std::vector<uint8_t>& data, const UdpSocket::M
 
 // --- Client --------------------------------------------------------------------
 
-DhcpClient::DhcpClient(Node& node, NetDevice* device, Config config)
-    : node_(node), device_(device), config_(config) {
+DhcpClient::DhcpClient(Node& node, NetDevice* device) : node_(node), device_(device) {
   socket_ = std::make_unique<UdpSocket>(node_.stack());
   MSN_CHECK(socket_->Bind(kDhcpClientPort)) << "dhcp client port";
   socket_->SetReceiveHandler(
@@ -199,9 +198,6 @@ DhcpClient::DhcpClient(Node& node, NetDevice* device, Config config)
         OnDatagram(data, meta);
       });
 }
-
-DhcpClient::DhcpClient(Node& node, NetDevice* device)
-    : DhcpClient(node, device, Config{}) {}
 
 DhcpClient::~DhcpClient() {
   node_.sim().Cancel(timeout_event_);
@@ -211,7 +207,7 @@ DhcpClient::~DhcpClient() {
 void DhcpClient::Acquire(AcquireCallback done) {
   done_ = std::move(done);
   xid_ = static_cast<uint32_t>(node_.sim().rng().NextU64());
-  retries_left_ = config_.max_retries;
+  retries_left_ = kMaxRetries;
   phase_ = Phase::kDiscovering;
   last_offer_.reset();
   SendDiscover();
@@ -228,7 +224,7 @@ void DhcpClient::SendDiscover() {
   extras.allow_unconfigured_source = true;
   socket_->SendToWithExtras(Ipv4Address::Broadcast(), kDhcpServerPort, msg.Serialize(), extras);
   node_.sim().Cancel(timeout_event_);
-  timeout_event_ = node_.sim().Schedule(config_.retry_interval, [this] { OnTimeout(); });
+  timeout_event_ = node_.sim().Schedule(kRetryInterval, [this] { OnTimeout(); });
 }
 
 void DhcpClient::SendRequest(const DhcpMessage& offer) {
@@ -245,7 +241,7 @@ void DhcpClient::SendRequest(const DhcpMessage& offer) {
   extras.allow_unconfigured_source = true;
   socket_->SendToWithExtras(Ipv4Address::Broadcast(), kDhcpServerPort, msg.Serialize(), extras);
   node_.sim().Cancel(timeout_event_);
-  timeout_event_ = node_.sim().Schedule(config_.retry_interval, [this] { OnTimeout(); });
+  timeout_event_ = node_.sim().Schedule(kRetryInterval, [this] { OnTimeout(); });
 }
 
 void DhcpClient::OnTimeout() {
@@ -328,7 +324,7 @@ void DhcpClient::Finish(std::optional<DhcpLease> lease) {
 
 void DhcpClient::ScheduleRenewal() {
   node_.sim().Cancel(renewal_event_);
-  if (!config_.auto_renew || !lease_ || lease_->lease_time.nanos() <= 0) {
+  if (!lease_ || lease_->lease_time.nanos() <= 0) {
     return;
   }
   renewal_event_ = node_.sim().Schedule(lease_->lease_time / 2, [this] {
@@ -336,7 +332,7 @@ void DhcpClient::ScheduleRenewal() {
       return;
     }
     // Lease refresh: part of the mobile host's *local* role (paper §5.2).
-    retries_left_ = config_.max_retries;
+    retries_left_ = kMaxRetries;
     DhcpMessage offer = *last_offer_;
     offer.yiaddr = lease_->address;
     SendRequest(offer);

@@ -116,19 +116,18 @@ class DhcpClient {
  public:
   using AcquireCallback = std::function<void(std::optional<DhcpLease>)>;
 
-  struct Config {
-    Duration retry_interval = Seconds(2);
-    int max_retries = 3;
-    bool auto_renew = true;  // Re-REQUEST at half lease time (paper: the
-                             // lease refresh is local-role traffic).
-  };
+  // Each DISCOVER/REQUEST waits this long for an answer, and is re-sent up
+  // to kMaxRetries times before the acquisition fails.
+  static constexpr Duration kRetryInterval = Seconds(2);
+  static constexpr int kMaxRetries = 3;
 
-  DhcpClient(Node& node, NetDevice* device, Config config);
   DhcpClient(Node& node, NetDevice* device);
   ~DhcpClient();
 
   // Runs DISCOVER -> OFFER -> REQUEST -> ACK. The device must be up; no IP
   // address is required (packets go out with source 0.0.0.0 to broadcast).
+  // The lease is then re-REQUESTed at half its lease time (paper: the lease
+  // refresh is local-role traffic).
   void Acquire(AcquireCallback done);
   // Informs the server the address is no longer used.
   void Release();
@@ -148,7 +147,6 @@ class DhcpClient {
 
   Node& node_;
   NetDevice* device_;
-  Config config_;
   std::unique_ptr<UdpSocket> socket_;
   Phase phase_ = Phase::kIdle;
   uint32_t xid_ = 0;

@@ -5,8 +5,9 @@
 // home agent): pre-registration (configure interface + change route table),
 // the request->reply latency (4.79 ms, of which 1.48 ms is home-agent
 // processing), and post-registration work, totalling 7.39 ms. Each step's
-// cost here is a normal distribution whose defaults are tuned so the
-// simulated decomposition lands on the paper's numbers; benches may override.
+// cost here is a normal distribution tuned so the simulated decomposition
+// lands on the paper's numbers. The costs are fixed: MobileHost and
+// HomeAgent read Calibration::Default() directly.
 #ifndef MSN_SRC_MIP_CALIBRATION_H_
 #define MSN_SRC_MIP_CALIBRATION_H_
 

@@ -19,7 +19,7 @@ ForeignAgent::ForeignAgent(Node& node, Config config) : node_(node), config_(con
     return OnTunnelPacket(outer, inner);
   });
 
-  advertiser_ = std::make_unique<PeriodicTask>(node_.sim(), config_.advertisement_interval,
+  advertiser_ = std::make_unique<PeriodicTask>(node_.sim(), kAdvertisementInterval,
                                                [this] { SendAdvertisement(); });
   advertiser_->Start();
 }
@@ -29,8 +29,7 @@ ForeignAgent::~ForeignAgent() = default;
 void ForeignAgent::SendAdvertisement() {
   AgentAdvertisement adv;
   adv.agent_address = config_.address;
-  adv.lifetime_sec =
-      static_cast<uint16_t>(config_.advertisement_interval.nanos() / 1000000000 * 3);
+  adv.lifetime_sec = static_cast<uint16_t>(kAdvertisementInterval.nanos() / 1000000000 * 3);
   UdpSocket::SendExtras extras;
   extras.force_device = config_.device;
   extras.force_broadcast_mac = true;
@@ -140,7 +139,7 @@ void ForeignAgent::HandleBindingUpdate(const BindingUpdate& update) {
     visitors_.erase(it);
     ForwardEntry entry;
     entry.new_care_of = Ipv4Address::Any();
-    entry.expires = node_.sim().Now() + config_.forward_grace;
+    entry.expires = node_.sim().Now() + kForwardGrace;
     forwards_[update.home_address] = std::move(entry);
     return;
   }

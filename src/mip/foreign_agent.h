@@ -35,9 +35,6 @@ class ForeignAgent {
     // The FA's address on its network (also the care-of address it offers).
     Ipv4Address address;
     NetDevice* device = nullptr;
-    Duration advertisement_interval = Seconds(1);
-    // How long after a departure late packets are still forwarded.
-    Duration forward_grace = Seconds(10);
     // The A1 ablation knob: forward late tunnel packets to a departed
     // visitor's new care-of address.
     bool forward_after_departure = true;
@@ -55,6 +52,9 @@ class ForeignAgent {
     uint64_t binding_updates_received = 0;
   };
 
+  static constexpr Duration kAdvertisementInterval = Seconds(1);
+  // How long after a departure late packets are still forwarded.
+  static constexpr Duration kForwardGrace = Seconds(10);
   // Maximum packets buffered per departing visitor (smooth hand-off).
   static constexpr size_t kMaxBufferedPackets = 64;
 

@@ -525,10 +525,7 @@ void HomeAgent::OnRegistrationDatagram(const std::vector<uint8_t>& data,
   }
   const size_t depth = shard.queue.size();
   if (config_.admission_queue_limit > 0) {
-    const uint32_t drop_limit = config_.admission_drop_limit > 0
-                                    ? config_.admission_drop_limit
-                                    : 2 * config_.admission_queue_limit;
-    if (depth + shard.denials_in_window >= drop_limit) {
+    if (depth + shard.denials_in_window >= 2 * config_.admission_queue_limit) {
       // Past the point where even a denial is worth sending: replies cost
       // socket work, so each daemon pass grants a bounded denial budget —
       // a flood cannot turn the agent into a full-time denial server.
@@ -584,13 +581,14 @@ void HomeAgent::RunShardBatch(size_t shard_index) {
   // path is calibrated identically to the paper's measurement.
   const size_t batch = std::min<size_t>(config_.batch_max, shard.queue.size());
   Rng& rng = node_.sim().rng();
+  const Calibration cal = Calibration::Default();
   Duration cost;
   if (batch == 1) {
-    cost = config_.calibration.ha_processing.Draw(rng);
+    cost = cal.ha_processing.Draw(rng);
   } else {
-    cost = config_.calibration.ha_batch_fixed.Draw(rng);
+    cost = cal.ha_batch_fixed.Draw(rng);
     for (size_t i = 0; i < batch; ++i) {
-      cost = cost + config_.calibration.ha_batch_item.Draw(rng);
+      cost = cost + cal.ha_batch_item.Draw(rng);
     }
   }
   shard.busy_until = node_.sim().Now() + cost;
@@ -683,7 +681,7 @@ void HomeAgent::ProcessRequest(const RegistrationRequest& request,
       reply.lifetime_sec = 0;
     } else {
       const uint16_t granted =
-          std::min<uint16_t>(request.lifetime_sec, config_.max_lifetime_sec);
+          std::min<uint16_t>(request.lifetime_sec, kMaxLifetimeSec);
       reply.lifetime_sec = granted;
       InstallBinding(request, granted);
     }
@@ -732,8 +730,7 @@ void HomeAgent::InstallBinding(const RegistrationRequest& request,
 
   // Previous-FA notification: late tunnel packets still headed to the old
   // foreign agent can be forwarded to the new care-of address.
-  if (config_.notify_previous_foreign_agent && old_was_foreign_agent &&
-      !old_care_of.IsAny() && old_care_of != binding.care_of) {
+  if (old_was_foreign_agent && !old_care_of.IsAny() && old_care_of != binding.care_of) {
     BindingUpdate update;
     update.home_address = home;
     update.new_care_of = binding.care_of;

@@ -26,7 +26,7 @@
 // `admission_queue_limit`, new arrivals are denied statelessly
 // (kDeniedInsufficientResources, before any authentication or identification
 // work), and once queue depth plus the denials already issued this daemon
-// pass reach `admission_drop_limit` even the denial is skipped. A
+// pass reach twice that limit even the denial is skipped. A
 // retransmit of a request that is still queued supersedes the stale copy in
 // place instead of growing the queue.
 //
@@ -125,12 +125,6 @@ class HomeAgent {
     NetDevice* home_device = nullptr;
     // Home addresses must fall inside this subnet to be served.
     Subnet home_subnet;
-    // Upper bound on granted binding lifetimes.
-    uint16_t max_lifetime_sec = 600;
-    // Extension (paper §5.1): when a binding moves away from a foreign-agent
-    // care-of address, tell that FA where the mobile host went so it can
-    // forward in-flight tunnel packets instead of dropping them.
-    bool notify_previous_foreign_agent = true;
     // Require every registration to carry a valid mobile-home authenticator
     // (paper §5.1: registrations "should be authenticated ... to protect
     // against denial-of-service attacks in the form of malicious fraudulent
@@ -139,7 +133,6 @@ class HomeAgent {
     // Role this agent boots in; a replicated pair starts one primary, one
     // standby. Epochs start at 1.
     HaRole initial_role = HaRole::kPrimary;
-    Calibration calibration = Calibration::Default();
     // When given, the agent's accounting lands here under
     // "<metric_prefix>*" (counters, a bindings gauge, a role gauge, and a
     // processing-time histogram); otherwise in a private registry, so
@@ -158,14 +151,15 @@ class HomeAgent {
     uint32_t batch_max = 8;
     // Admission control: deny statelessly (kDeniedInsufficientResources,
     // before authentication) once a shard's queue holds this many requests.
-    // 0 disables admission control (unbounded queues).
+    // Past twice this pressure even the denial is skipped (silent drop):
+    // pressure is queue depth plus denials already issued since the shard's
+    // daemon last ran, so a flood cannot make the agent spend all its time
+    // sending denials. 0 disables admission control (unbounded queues).
     uint32_t admission_queue_limit = 0;
-    // Past this pressure even the denial is skipped (silent drop): pressure
-    // is queue depth plus denials already issued since the shard's daemon
-    // last ran, so a flood cannot make the agent spend all its time sending
-    // denials. 0 derives 2 * admission_queue_limit.
-    uint32_t admission_drop_limit = 0;
   };
+
+  // Upper bound on granted binding lifetimes.
+  static constexpr uint16_t kMaxLifetimeSec = 600;
 
   static constexpr uint32_t kMaxShards = 64;
 
@@ -208,7 +202,8 @@ class HomeAgent {
     // Admission control: requests denied statelessly with
     // kDeniedInsufficientResources (queue over admission_queue_limit).
     uint64_t admission_denied = 0;
-    // Requests dropped without even a denial (queue over admission_drop_limit).
+    // Requests dropped without even a denial (pressure over twice
+    // admission_queue_limit).
     uint64_t admission_dropped = 0;
     // Retransmits that superseded a stale queued copy of the same home's
     // request instead of growing the queue.

@@ -1,10 +1,20 @@
 #include "src/mip/messages.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/util/byte_buffer.h"
 
 namespace msn {
+
+Duration NextRegistrationBackoff(Duration previous, Rng& rng) {
+  if (previous.nanos() <= 0) {
+    return kRegistrationBackoffBase;
+  }
+  const double base_s = kRegistrationBackoffBase.ToSecondsF();
+  const double prev_s = previous.ToSecondsF();
+  return std::min(kRegistrationBackoffCap, SecondsF(rng.UniformDouble(base_s, 3.0 * prev_s)));
+}
 
 const char* MipReplyCodeName(MipReplyCode code) {
   switch (code) {

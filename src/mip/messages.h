@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "src/net/address.h"
+#include "src/sim/time.h"
+#include "src/util/rng.h"
 #include "src/util/siphash.h"
 
 namespace msn {
@@ -25,6 +27,16 @@ using MipAuthKey = SipHashKey;
 
 // UDP port for registration traffic.
 inline constexpr uint16_t kMipRegistrationPort = 434;
+
+// Registration retransmit schedule, shared by MobileHost and the synthetic
+// RegistrationLoadGenerator: decorrelated jitter. Given the previous wait
+// (zero for a fresh attempt) returns the next one. The first wait is exactly
+// kRegistrationBackoffBase, so loss-free runs never draw from `rng`; each
+// later wait is drawn uniform from [base, 3 * previous] and capped at
+// kRegistrationBackoffCap.
+inline constexpr Duration kRegistrationBackoffBase = Seconds(1);
+inline constexpr Duration kRegistrationBackoffCap = Seconds(8);
+[[nodiscard]] Duration NextRegistrationBackoff(Duration previous, Rng& rng);
 
 // Registration request flags.
 inline constexpr uint8_t kMipFlagSimultaneous = 0x80;   // S: keep prior bindings.

@@ -1,9 +1,9 @@
 #include "src/mip/mobile_host.h"
 #include "src/util/assert.h"
 
-#include <algorithm>
 #include <utility>
 
+#include "src/mip/calibration.h"
 #include "src/util/logging.h"
 
 namespace msn {
@@ -218,7 +218,7 @@ void MobileHost::BeginAttach(const Attachment& attachment, bool skip_interface_c
 
 void MobileHost::StepConfigureInterface(uint64_t generation, bool skip_cost) {
   const Duration cost =
-      skip_cost ? Duration() : config_.calibration.interface_config.Draw(node_.sim().rng());
+      skip_cost ? Duration() : Calibration::Default().interface_config.Draw(node_.sim().rng());
   node_.sim().Schedule(cost, [this, generation] {
     if (generation != attach_generation_) {
       return;
@@ -234,7 +234,7 @@ void MobileHost::StepConfigureInterface(uint64_t generation, bool skip_cost) {
 }
 
 void MobileHost::StepUpdateRoutes(uint64_t generation) {
-  const Duration cost = config_.calibration.route_update.Draw(node_.sim().rng());
+  const Duration cost = Calibration::Default().route_update.Draw(node_.sim().rng());
   node_.sim().Schedule(cost, [this, generation] {
     if (generation != attach_generation_) {
       return;
@@ -251,7 +251,7 @@ void MobileHost::StepUpdateRoutes(uint64_t generation) {
 }
 
 void MobileHost::StepSendRegistration(uint64_t generation) {
-  const Duration cost = config_.calibration.request_build.Draw(node_.sim().rng());
+  const Duration cost = Calibration::Default().request_build.Draw(node_.sim().rng());
   node_.sim().Schedule(cost, [this, generation] {
     if (generation != attach_generation_) {
       return;
@@ -266,34 +266,13 @@ void MobileHost::StepSendRegistration(uint64_t generation) {
 }
 
 void MobileHost::BeginRegistrationAttempt() {
-  retransmits_left_ = config_.max_retransmits;
+  retransmits_left_ = kMaxRetransmits;
   backoff_ = Duration();
   resync_attempts_left_ = 2;
 }
 
-Duration MobileHost::NextRetransmitDelay() {
-  if (!config_.retransmit_backoff) {
-    return config_.retransmit_interval;
-  }
-  if (backoff_.nanos() <= 0) {
-    // First send of an attempt waits exactly the base interval, so clean
-    // (loss-free) runs behave identically with or without backoff.
-    backoff_ = config_.retransmit_interval;
-    return backoff_;
-  }
-  // Decorrelated jitter: next = min(cap, U(base, 3 * previous)).
-  const double base_s = config_.retransmit_interval.ToSecondsF();
-  const double prev_s = backoff_.ToSecondsF();
-  const Duration drawn = SecondsF(node_.sim().rng().UniformDouble(base_s, 3.0 * prev_s));
-  backoff_ = std::min(config_.retransmit_max_interval, drawn);
-  return backoff_;
-}
-
 void MobileHost::SendRegistrationRequest(uint64_t generation, bool deregistration) {
   in_flight_deregistration_ = deregistration;
-  if (renewing_) {
-    ++renewal_sends_;
-  }
   RegistrationRequest request;
   // Through an FA the *agent* decapsulates; co-located care-of means we do.
   request.flags = (fa_mode_ && !deregistration) ? 0 : kMipFlagDecapsulateSelf;
@@ -325,15 +304,14 @@ void MobileHost::SendRegistrationRequest(uint64_t generation, bool deregistratio
     reg_socket_->SendTo(active_home_agent_, kMipRegistrationPort, request.Serialize());
   }
 
-  retransmit_event_ = node_.sim().Schedule(NextRetransmitDelay(),
-                                           [this, generation, deregistration] {
-                                             OnRetransmitTimer(generation, deregistration);
-                                           });
+  backoff_ = NextRegistrationBackoff(backoff_, node_.sim().rng());
+  retransmit_event_ = node_.sim().Schedule(backoff_, [this, generation, deregistration] {
+    OnRetransmitTimer(generation, deregistration);
+  });
 }
 
 void MobileHost::MaybeFailoverHomeAgent() {
-  if (!config_.backup_home_agent.has_value() ||
-      unanswered_sends_ < static_cast<uint64_t>(std::max(1, config_.failover_after_sends))) {
+  if (!config_.backup_home_agent.has_value() || unanswered_sends_ < kFailoverAfterSends) {
     return;
   }
   const Ipv4Address from = active_home_agent_;
@@ -356,8 +334,8 @@ void MobileHost::OnRetransmitTimer(uint64_t generation, bool deregistration) {
   }
   MaybeFailoverHomeAgent();
   if (renewing_) {
-    // A renewal must not give up silently: by default it keeps retrying with
-    // backoff until the HA answers or the attachment changes. If the binding
+    // A renewal must not give up silently: it keeps retrying with backoff
+    // until the HA answers or the attachment changes. If the binding
     // lifetime has meanwhile passed, the HA-side binding is gone — record the
     // loss and demote so callers see the truth while we keep re-registering.
     if (!binding_lost_ && binding_expires_ != Time::Zero() &&
@@ -369,14 +347,6 @@ void MobileHost::OnRetransmitTimer(uint64_t generation, bool deregistration) {
       }
       MSN_WARN("mip-mh", "%s: binding expired with renewal still in flight",
                node_.name().c_str());
-    }
-    if (config_.renewal_retry_budget > 0 &&
-        renewal_sends_ >= static_cast<uint64_t>(config_.renewal_retry_budget)) {
-      ++counters_.registrations_timed_out;
-      renewing_ = false;
-      MSN_WARN("mip-mh", "%s: renewal retry budget exhausted", node_.name().c_str());
-      FinishRegistration(generation, /*success=*/false);
-      return;
     }
     ++counters_.retransmissions;
     SendRegistrationRequest(generation, deregistration);
@@ -429,8 +399,7 @@ void MobileHost::OnRegistrationDatagram(const std::vector<uint8_t>& data,
   MSN_DEBUG("mip-mh", "%s: %s", node_.name().c_str(), reply->ToString().c_str());
 
   if (!reply->accepted()) {
-    if (reply->code == MipReplyCode::kDeniedIdentificationMismatch &&
-        config_.resync_on_identification_mismatch && resync_attempts_left_ > 0) {
+    if (reply->code == MipReplyCode::kDeniedIdentificationMismatch && resync_attempts_left_ > 0) {
       // The HA rejected our identification — typically because it restarted
       // and re-anchored its replay window. Re-send the same request with a
       // fresh identification instead of failing the whole attach.
@@ -442,8 +411,7 @@ void MobileHost::OnRegistrationDatagram(const std::vector<uint8_t>& data,
       SendRegistrationRequest(generation, in_flight_deregistration_);
       return;
     }
-    if (reply->code == MipReplyCode::kDeniedInsufficientResources &&
-        config_.retry_on_insufficient_resources) {
+    if (reply->code == MipReplyCode::kDeniedInsufficientResources) {
       // The HA's admission filter shed us under load — an explicit "try
       // again later", not a verdict on this registration. Back off with the
       // decorrelated-jitter schedule and retry; deliberately does not
@@ -452,13 +420,13 @@ void MobileHost::OnRegistrationDatagram(const std::vector<uint8_t>& data,
       ++counters_.admission_backoffs;
       MSN_DEBUG("mip-mh", "%s: admission-denied by HA; backing off",
                 node_.name().c_str());
-      retransmit_event_ = node_.sim().Schedule(
-          NextRetransmitDelay(), [this, generation] {
-            if (generation != attach_generation_) {
-              return;
-            }
-            SendRegistrationRequest(generation, in_flight_deregistration_);
-          });
+      backoff_ = NextRegistrationBackoff(backoff_, node_.sim().rng());
+      retransmit_event_ = node_.sim().Schedule(backoff_, [this, generation] {
+        if (generation != attach_generation_) {
+          return;
+        }
+        SendRegistrationRequest(generation, in_flight_deregistration_);
+      });
       return;
     }
     ++counters_.registrations_denied;
@@ -484,7 +452,7 @@ void MobileHost::OnRegistrationDatagram(const std::vector<uint8_t>& data,
 
   timeline_.reply_received = node_.sim().Now();
   const uint16_t granted = reply->lifetime_sec;
-  const Duration cost = config_.calibration.post_registration.Draw(node_.sim().rng());
+  const Duration cost = Calibration::Default().post_registration.Draw(node_.sim().rng());
   node_.sim().Schedule(cost, [this, generation, granted] {
     if (generation != attach_generation_) {
       return;
@@ -535,10 +503,10 @@ void MobileHost::FinishRegistration(uint64_t generation, bool success) {
 void MobileHost::ScheduleRenewal(uint16_t granted_lifetime_sec) {
   node_.sim().Cancel(renewal_event_);
   binding_expires_ = node_.sim().Now() + Seconds(granted_lifetime_sec);
-  if (!config_.auto_renew || granted_lifetime_sec == 0) {
+  if (granted_lifetime_sec == 0) {
     return;
   }
-  const Duration lead = Seconds(granted_lifetime_sec) * config_.renewal_fraction;
+  const Duration lead = Seconds(granted_lifetime_sec) * kRenewalFraction;
   renewal_event_ = node_.sim().Schedule(lead, [this, generation = attach_generation_] {
     // state_ alone is not enough: during an AttachHome whose deregistration
     // is still in flight the state stays kRegistered, but renewing the old
@@ -548,7 +516,6 @@ void MobileHost::ScheduleRenewal(uint16_t granted_lifetime_sec) {
     }
     ++counters_.renewals;
     renewing_ = true;
-    renewal_sends_ = 0;
     BeginRegistrationAttempt();
     SendRegistrationRequest(attach_generation_, /*deregistration=*/false);
   });
@@ -568,7 +535,6 @@ void MobileHost::CancelPendingRegistration() {
   binding_lost_ = false;
   binding_expires_ = Time::Zero();
   backoff_ = Duration();
-  renewal_sends_ = 0;
   unanswered_sends_ = 0;
   in_flight_deregistration_ = false;
 }
@@ -615,7 +581,7 @@ void MobileHost::ColdSwitchTo(const Attachment& attachment, CompletionCallback d
   // and finally registers the new IP address"). When a departure notice was
   // just queued for the old foreign agent, hold the teardown long enough for
   // the frame to serialize onto the (possibly slow) old link.
-  Duration teardown = config_.calibration.route_update.Draw(node_.sim().rng());
+  Duration teardown = Calibration::Default().route_update.Draw(node_.sim().rng());
   if (fa_mode_) {
     teardown += Milliseconds(50);
   }
@@ -676,7 +642,7 @@ void MobileHost::AttachHome(CompletionCallback done) {
 void MobileHost::ContinueAttachHome(uint64_t generation) {
   const bool was_away = pending_deregistration_;
   // Step 1: configure the home address on the home device.
-  const Duration config_cost = config_.calibration.interface_config.Draw(node_.sim().rng());
+  const Duration config_cost = Calibration::Default().interface_config.Draw(node_.sim().rng());
   node_.sim().Schedule(config_cost, [this, generation, was_away] {
     if (generation != attach_generation_) {
       return;
@@ -691,7 +657,7 @@ void MobileHost::ContinueAttachHome(uint64_t generation) {
     timeline_.interface_configured = node_.sim().Now();
 
     // Step 2: route update.
-    const Duration route_cost = config_.calibration.route_update.Draw(node_.sim().rng());
+    const Duration route_cost = Calibration::Default().route_update.Draw(node_.sim().rng());
     node_.sim().Schedule(route_cost, [this, generation, was_away] {
       if (generation != attach_generation_) {
         return;
@@ -720,7 +686,7 @@ void MobileHost::ContinueAttachHome(uint64_t generation) {
         return;
       }
       // Step 3: deregister with the home agent.
-      const Duration build = config_.calibration.request_build.Draw(node_.sim().rng());
+      const Duration build = Calibration::Default().request_build.Draw(node_.sim().rng());
       node_.sim().Schedule(build, [this, generation] {
         if (generation != attach_generation_) {
           return;
@@ -789,7 +755,7 @@ void MobileHost::ProbeTriangleRoute(Ipv4Address correspondent, std::function<voi
   const MobilePolicy previous = policy_table_.LookupConst(correspondent);
   policy_table_.Set(target, MobilePolicy::kTriangle);
   pinger_->set_source(config_.home_address);
-  pinger_->Ping(correspondent, config_.probe_timeout,
+  pinger_->Ping(correspondent, kProbeTimeout,
                 [this, target, correspondent, previous,
                  done = std::move(done)](const Pinger::Result& result) {
                   if (result.success) {

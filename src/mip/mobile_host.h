@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 
-#include "src/mip/calibration.h"
 #include "src/mip/ipip.h"
 #include "src/mip/messages.h"
 #include "src/mip/policy_table.h"
@@ -49,48 +48,16 @@ class MobileHost {
     NetDevice* home_device = nullptr;
     // Requested binding lifetime.
     uint16_t lifetime_sec = 300;
-    // Registration retransmission policy. By default retransmission backs
-    // off exponentially with decorrelated jitter: the first wait is exactly
-    // `retransmit_interval`, each later wait is drawn uniform from
-    // [interval, 3 * previous] and capped at `retransmit_max_interval`.
-    // Disabling `retransmit_backoff` restores the paper's fixed interval
-    // (used for Figure-7 calibration runs).
-    Duration retransmit_interval = Seconds(1);
-    Duration retransmit_max_interval = Seconds(8);
-    bool retransmit_backoff = true;
-    int max_retransmits = 4;
-    // Re-register shortly before the binding lifetime runs out.
-    bool auto_renew = true;
-    // Fraction of the granted lifetime after which renewal starts.
-    double renewal_fraction = 0.8;
-    // Max registration sends per renewal before giving up; 0 = never give up
-    // (a renewal keeps retrying with backoff until it succeeds or the
-    // attachment changes, so a binding cannot silently expire mid-renewal).
-    int renewal_retry_budget = 0;
-    // On a kDeniedIdentificationMismatch reply (HA restarted or replay
-    // window desynced), immediately re-register with a fresh identification
-    // instead of failing the attach.
-    bool resync_on_identification_mismatch = true;
-    // On a kDeniedInsufficientResources reply (the HA's admission filter
-    // shed the request under load, DESIGN.md §17), back off and retry with
-    // the decorrelated-jitter schedule instead of failing the attach. These
-    // retries do not consume the max_retransmits budget — the HA explicitly
-    // said "try again later", so the host converges once the load clears.
-    bool retry_on_insufficient_resources = true;
-    // Replicated-HA failover (DESIGN.md §14): when set, a run of unanswered
-    // registration sends to the active home agent makes the host switch to
-    // this backup (and back, alternating) before the next retransmit. The
-    // identification sequence continues across the switch, so a backup that
-    // mirrored the primary's replay window accepts immediately.
+    // Replicated-HA failover (DESIGN.md §14): when set, a run of
+    // kFailoverAfterSends unanswered registration sends to the active home
+    // agent makes the host switch to this backup (and back, alternating)
+    // before the next retransmit. The identification sequence continues
+    // across the switch, so a backup that mirrored the primary's replay
+    // window accepts immediately.
     std::optional<Ipv4Address> backup_home_agent;
-    // Unanswered sends to the active HA before each failover switch.
-    int failover_after_sends = 2;
-    // Timeout for triangle-route probes.
-    Duration probe_timeout = Seconds(3);
     // Shared secret with the home agent. When set, every registration
     // request carries a mobile-home authenticator and replies must verify.
     std::optional<MipAuthKey> auth_key;
-    Calibration calibration = Calibration::Default();
     // When given, the host's accounting lands here under "mh.*" (counters
     // plus an "mh.handoff_ms" histogram of successful-attach total times);
     // otherwise in a private registry, so counters() behaves identically
@@ -163,6 +130,22 @@ class MobileHost {
     // Switches of the active home agent after unanswered registrations.
     uint64_t failover_count = 0;
   };
+
+  // Retransmissions per registration attempt after the initial send; waits
+  // follow NextRegistrationBackoff (messages.h). A kDeniedInsufficientResources
+  // reply (the HA's admission filter shed the request, DESIGN.md §17) backs
+  // off on the same schedule without consuming this budget, and a
+  // kDeniedIdentificationMismatch (HA restarted) re-sends at once with a
+  // fresh identification. A lifetime renewal never gives up: it retries
+  // until the HA answers or the attachment changes, so a binding cannot
+  // silently expire mid-renewal.
+  static constexpr int kMaxRetransmits = 4;
+  // Renewal starts after this fraction of the granted lifetime.
+  static constexpr double kRenewalFraction = 0.8;
+  // Unanswered sends to the active HA before each failover switch.
+  static constexpr uint64_t kFailoverAfterSends = 2;
+  // Timeout for triangle-route probes.
+  static constexpr Duration kProbeTimeout = Seconds(3);
 
   using CompletionCallback = std::function<void(bool success)>;
 
@@ -269,11 +252,10 @@ class MobileHost {
 
   void ContinueAttachHome(uint64_t generation);
   void BeginRegistrationAttempt();
-  Duration NextRetransmitDelay();
   void SendRegistrationRequest(uint64_t generation, bool deregistration);
   void OnRegistrationDatagram(const std::vector<uint8_t>& data, const UdpSocket::Metadata& meta);
   void OnRetransmitTimer(uint64_t generation, bool deregistration);
-  // Escalation on registration silence: after failover_after_sends unanswered
+  // Escalation on registration silence: after kFailoverAfterSends unanswered
   // sends, point the next (re)send at the other configured home agent.
   void MaybeFailoverHomeAgent();
   void FinishRegistration(uint64_t generation, bool success);
@@ -318,7 +300,7 @@ class MobileHost {
   uint64_t last_accepted_identification_ = 0;
   int retransmits_left_ = 0;
   // Previous decorrelated-jitter wait; zero means a fresh attempt (the next
-  // wait is exactly retransmit_interval).
+  // wait is exactly kRegistrationBackoffBase).
   Duration backoff_;
   // Whether the request currently in flight is a deregistration (needed to
   // re-send it verbatim on an identification resync).
@@ -330,8 +312,6 @@ class MobileHost {
   Time binding_expires_;
   // The binding lifetime passed while a renewal was still in flight.
   bool binding_lost_ = false;
-  // Sends within the current renewal (compared against renewal_retry_budget).
-  uint64_t renewal_sends_ = 0;
   EventId retransmit_event_;
   EventId renewal_event_;
 };

@@ -66,7 +66,7 @@ void MovementDetector::ProbeRound() {
     const auto addr = mobile_.node().stack().GetInterfaceAddress(device);
     if (!device->IsUp() || !addr.has_value()) {
       // Unprobeable link: decays toward dead.
-      t.loss_ewma = (1.0 - config_.ewma_alpha) * t.loss_ewma + config_.ewma_alpha;
+      t.loss_ewma = (1.0 - kEwmaAlpha) * t.loss_ewma + kEwmaAlpha;
       ++t.rounds_dead;
       t.rounds_usable = 0;
       continue;
@@ -83,8 +83,8 @@ void MovementDetector::ProbeRound() {
     t.pinger->Ping(t.candidate.attachment.gateway, config_.probe_timeout,
                    [this, tp](const Pinger::Result& result) {
                      tp->probe_outstanding = false;
-                     tp->loss_ewma = (1.0 - config_.ewma_alpha) * tp->loss_ewma +
-                                     config_.ewma_alpha * (result.success ? 0.0 : 1.0);
+                     tp->loss_ewma = (1.0 - kEwmaAlpha) * tp->loss_ewma +
+                                     kEwmaAlpha * (result.success ? 0.0 : 1.0);
                      if (result.success) {
                        tp->last_rtt = result.rtt;
                      }
@@ -162,7 +162,7 @@ void MovementDetector::Evaluate() {
   const bool current_device_up =
       current != nullptr && current->candidate.attachment.device->IsUp();
   if (in_residency && current_device_up) {
-    if (current_dead || (config_.upgrade_when_available && best_usable != nullptr &&
+    if (current_dead || (best_usable != nullptr &&
                          best_usable->candidate.preference > current->candidate.preference)) {
       ++counters_.pingpong_suppressed;
     }
@@ -184,7 +184,7 @@ void MovementDetector::Evaluate() {
         if (t.get() == current) {
           continue;
         }
-        if (config_.use_signal && t->have_rssi && t->rssi_dbm < config_.rssi_floor_dbm) {
+        if (config_.use_signal && t->have_rssi && t->rssi_dbm < kRssiFloorDbm) {
           continue;
         }
         if (fallback == nullptr ||
@@ -200,7 +200,7 @@ void MovementDetector::Evaluate() {
     return;
   }
 
-  if (config_.upgrade_when_available && best_usable != nullptr && current != nullptr &&
+  if (best_usable != nullptr && current != nullptr &&
       best_usable->candidate.preference > current->candidate.preference) {
     ++counters_.upgrades;
     SwitchTo(*best_usable, /*upgrade=*/true);

@@ -51,15 +51,8 @@ class MovementDetector {
   struct Config {
     Duration probe_interval = Milliseconds(500);
     Duration probe_timeout = Milliseconds(400);
-    // EWMA weight of the newest probe result.
-    double ewma_alpha = 0.3;
-    // A link is usable below this loss estimate, dead above.
-    double usable_threshold = 0.4;
     // Consecutive probe rounds a change must persist before switching.
     int hysteresis_rounds = 3;
-    // Switch to a higher-preference link when it becomes usable (not just
-    // when the current one dies).
-    bool upgrade_when_available = true;
     // Debounce: after any switch completes, suppress further switches for
     // this long. A short link blackout then rides out on retransmission
     // instead of triggering a spurious (and expensive) cold switch.
@@ -72,14 +65,20 @@ class MovementDetector {
     // device that is actually down is always exempt.
     Duration min_residency;
     // Signal-aware policy (fed by MobilityDriver::ReportSignal): when on, a
-    // link whose last reported RSSI is below rssi_floor_dbm counts as
+    // link whose last reported RSSI is below kRssiFloorDbm counts as
     // unusable even while its probes still succeed, so the detector hands
     // off *before* walking out of coverage.
     bool use_signal = false;
-    double rssi_floor_dbm = -85.0;
     // Optional: per-link loss/RTT/RSSI gauges under "mh.movedet.*".
     MetricsRegistry* metrics = nullptr;
   };
+
+  // EWMA weight of the newest probe result.
+  static constexpr double kEwmaAlpha = 0.3;
+  // A link is usable below this loss estimate, dead above.
+  static constexpr double kUsableThreshold = 0.4;
+  // Under use_signal, a link whose last RSSI is below this is unusable.
+  static constexpr double kRssiFloorDbm = -85.0;
 
   using AttachmentChangeHandler =
       std::function<void(const LinkCharacteristics& now_using, bool registered)>;
@@ -139,10 +138,10 @@ class MovementDetector {
   void Evaluate();
   void SwitchTo(Tracked& target, bool upgrade);
   bool IsUsable(const Tracked& t) const {
-    if (config_.use_signal && t.have_rssi && t.rssi_dbm < config_.rssi_floor_dbm) {
+    if (config_.use_signal && t.have_rssi && t.rssi_dbm < kRssiFloorDbm) {
       return false;  // Fading signal marks the link unusable pre-emptively.
     }
-    return t.loss_ewma < config_.usable_threshold;
+    return t.loss_ewma < kUsableThreshold;
   }
   LinkCharacteristics Characterize(const Tracked& t) const;
 

@@ -24,7 +24,7 @@ RegistrationLoadGenerator::RegistrationLoadGenerator(Node& node, Config config)
     clients_[i].care_of =
         Ipv4Address(config_.first_care_of.value() + (i % config_.care_of_span));
     clients_[i].retransmits_left = config_.max_retransmits;
-    clients_[i].resyncs_left = config_.max_resyncs;
+    clients_[i].resyncs_left = kMaxResyncs;
   }
 }
 
@@ -40,21 +40,6 @@ void RegistrationLoadGenerator::Start() {
         config_.start_delay + config_.interarrival * static_cast<int64_t>(i);
     node_.sim().Schedule(at, [this, i] { SendRequest(i, /*is_retransmit=*/false); });
   }
-}
-
-Duration RegistrationLoadGenerator::NextDelay(Client& client) {
-  // Decorrelated jitter, matching MobileHost::NextRetransmitDelay: the first
-  // wait is exactly the base interval, each later wait is drawn uniform from
-  // [base, 3 * previous] and capped.
-  if (client.backoff.nanos() <= 0) {
-    client.backoff = config_.retransmit_interval;
-    return client.backoff;
-  }
-  const double base_s = config_.retransmit_interval.ToSecondsF();
-  const double prev_s = client.backoff.ToSecondsF();
-  const Duration drawn = SecondsF(node_.sim().rng().UniformDouble(base_s, 3.0 * prev_s));
-  client.backoff = std::min(config_.retransmit_max_interval, drawn);
-  return client.backoff;
 }
 
 void RegistrationLoadGenerator::SendRequest(size_t index, bool is_retransmit) {
@@ -81,8 +66,9 @@ void RegistrationLoadGenerator::SendRequest(size_t index, bool is_retransmit) {
     ++stats_.retransmissions;
   }
   socket_->SendTo(config_.home_agent, kMipRegistrationPort, request.Serialize());
+  client.backoff = NextRegistrationBackoff(client.backoff, node_.sim().rng());
   client.retransmit_event =
-      node_.sim().Schedule(NextDelay(client), [this, index] { OnTimeout(index); });
+      node_.sim().Schedule(client.backoff, [this, index] { OnTimeout(index); });
 }
 
 void RegistrationLoadGenerator::OnTimeout(size_t index) {
@@ -142,8 +128,9 @@ void RegistrationLoadGenerator::OnDatagram(const std::vector<uint8_t>& data,
     // budget, exactly as MobileHost does (the HA said "try again later").
     ++stats_.admission_denied;
     const size_t index = offset;
+    client.backoff = NextRegistrationBackoff(client.backoff, node_.sim().rng());
     client.retransmit_event = node_.sim().Schedule(
-        NextDelay(client), [this, index] { SendRequest(index, /*is_retransmit=*/false); });
+        client.backoff, [this, index] { SendRequest(index, /*is_retransmit=*/false); });
     return;
   }
   client.done = true;

@@ -5,9 +5,9 @@
 // full Node + MobileHost, so sweeps of 100k+ registrants stay cheap.
 //
 // Each client sends one registration (home addresses are contiguous from
-// `first_home`), retransmits with the same decorrelated-jitter schedule as
-// MobileHost, treats a kDeniedInsufficientResources reply as "back off and
-// try again" without consuming its retransmit budget, and answers a
+// `first_home`), retransmits on MobileHost's schedule (NextRegistrationBackoff),
+// treats a kDeniedInsufficientResources reply as "back off and try again"
+// without consuming its retransmit budget, and answers a
 // restarted HA's kDeniedIdentificationMismatch with a fresh-id re-send —
 // mirroring the real host's convergence behavior under admission control
 // and across daemon restarts (DESIGN.md §17).
@@ -42,17 +42,16 @@ class RegistrationLoadGenerator {
     // interarrival spacing is the offered load (rate = 1/interarrival).
     Duration start_delay = Seconds(1);
     Duration interarrival = Microseconds(100);
-    // Retransmission policy, matching MobileHost's decorrelated jitter.
-    Duration retransmit_interval = Seconds(1);
-    Duration retransmit_max_interval = Seconds(8);
+    // Retransmissions after the initial send, on NextRegistrationBackoff's
+    // schedule.
     int max_retransmits = 4;
-    // Identification-resync budget, matching MobileHost: a restarted HA
-    // denies each wiped home's first registration with a mismatch to
-    // re-anchor its replay window; the client re-sends with a fresh
-    // identification. One per restart, so the budget bounds restarts
-    // survived, not retries.
-    int max_resyncs = 8;
   };
+
+  // Identification-resync budget: a restarted HA denies each wiped home's
+  // first registration with a mismatch to re-anchor its replay window; the
+  // client re-sends with a fresh identification. One per restart, so the
+  // budget bounds restarts survived, not retries.
+  static constexpr int kMaxResyncs = 8;
 
   struct Stats {
     uint64_t sent = 0;
@@ -108,7 +107,6 @@ class RegistrationLoadGenerator {
 
   void SendRequest(size_t index, bool is_retransmit);
   void OnTimeout(size_t index);
-  Duration NextDelay(Client& client);
   void OnDatagram(const std::vector<uint8_t>& data, const UdpSocket::Metadata& meta);
 
   Node& node_;

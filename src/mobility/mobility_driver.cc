@@ -29,14 +29,14 @@ void MobilityDriver::AddBinding(const MediumBinding& binding) {
 
 void MobilityDriver::Start() {
   if (task_ == nullptr) {
-    task_ = std::make_unique<PeriodicTask>(mobile_.node().sim(), config_.tick, [this] { Tick(); });
+    task_ = std::make_unique<PeriodicTask>(mobile_.node().sim(), kTick, [this] { Tick(); });
   }
   if (task_->running()) {
     return;
   }
   last_device_ = mobile_.attachment().device;
   Tick();           // Apply quality for the starting position right away.
-  task_->Start();   // ...then keep ticking every config.tick.
+  task_->Start();   // ...then keep ticking every kTick.
 }
 
 void MobilityDriver::Stop() {
@@ -61,7 +61,7 @@ bool MobilityDriver::AnyDeepCoverage(double loss_threshold) const {
 }
 
 void MobilityDriver::Tick() {
-  const Vec2 pos = map_.Clamp(model_->Advance(config_.tick));
+  const Vec2 pos = map_.Clamp(model_->Advance(kTick));
   counters_.ticks += 1;
 
   MetricsRegistry& metrics = *config_.metrics;
@@ -71,9 +71,7 @@ void MobilityDriver::Tick() {
 
   for (Bound& b : bound_) {
     UpdateQuality(b);
-    if (config_.manage_association) {
-      ManageAssociation(b);
-    }
+    ManageAssociation(b);
   }
   NoteHandoffs();
 

@@ -59,13 +59,11 @@ class MobilityDriver {
   };
 
   struct Config {
-    Duration tick = Milliseconds(250);
-    // Bring non-serving devices up/down as coverage changes (hot-switch
-    // enablement). Disable to drive quality only.
-    bool manage_association = true;
     MovementDetector* detector = nullptr;  // Optional RSSI feed.
     MetricsRegistry* metrics = nullptr;
   };
+
+  static constexpr Duration kTick = Milliseconds(250);
 
   struct Counters {
     uint64_t ticks = 0;
@@ -84,7 +82,7 @@ class MobilityDriver {
 
   void AddBinding(const MediumBinding& binding);
 
-  // Applies quality once immediately, then every config.tick.
+  // Applies quality once immediately, then every kTick.
   void Start();
   void Stop();
 

@@ -32,7 +32,7 @@ HaReplicationLink::HaReplicationLink(HomeAgent& ha, Config config)
   UpdateLagGauge();
 
   socket_ = std::make_unique<UdpSocket>(ha_.node().stack());
-  MSN_CHECK(socket_->Bind(config_.port)) << "sync port " << config_.port;
+  MSN_CHECK(socket_->Bind(kHaSyncPort)) << "sync port " << kHaSyncPort;
   socket_->BindSourceAddress(config_.self);
   socket_->SetReceiveHandler(
       [this](const std::vector<uint8_t>& data, const UdpSocket::Metadata& meta) {
@@ -45,9 +45,8 @@ HaReplicationLink::HaReplicationLink(HomeAgent& ha, Config config)
 
   Simulator& sim = ha_.node().sim();
   last_primary_heard_ = sim.Now();
-  next_snapshot_at_ = sim.Now() + config_.snapshot_interval;
-  tick_ = std::make_unique<PeriodicTask>(sim, config_.heartbeat_interval,
-                                         [this] { OnTick(); });
+  next_snapshot_at_ = sim.Now() + kSnapshotInterval;
+  tick_ = std::make_unique<PeriodicTask>(sim, kHeartbeatInterval, [this] { OnTick(); });
   tick_->Start();
 }
 
@@ -86,7 +85,7 @@ void HaReplicationLink::OnLocalMutation(const BindingMutation& mutation) {
   m.seq = ++last_sent_seq_;
   m.mutation = mutation;
   ++counters_.mutations_sent;
-  socket_->SendTo(config_.peer, config_.port, m.Serialize());
+  socket_->SendTo(config_.peer, kHaSyncPort, m.Serialize());
   UpdateLagGauge();
 }
 
@@ -110,7 +109,7 @@ void HaReplicationLink::OnTick() {
     SendHeartbeat();
     if (sim.Now() >= next_snapshot_at_) {
       SendSnapshot();
-      next_snapshot_at_ = sim.Now() + config_.snapshot_interval;
+      next_snapshot_at_ = sim.Now() + kSnapshotInterval;
     }
     UpdateLagGauge();
     return;
@@ -153,7 +152,7 @@ void HaReplicationLink::SendHeartbeat() {
   hb.role = ha_.role();
   hb.seq = last_sent_seq_;
   ++counters_.heartbeats_sent;
-  socket_->SendTo(config_.peer, config_.port, hb.Serialize());
+  socket_->SendTo(config_.peer, kHaSyncPort, hb.Serialize());
 }
 
 void HaReplicationLink::SendSnapshot() {
@@ -162,19 +161,19 @@ void HaReplicationLink::SendSnapshot() {
   snap.seq = last_sent_seq_;
   snap.state = ha_.SnapshotState();
   ++counters_.snapshots_sent;
-  socket_->SendTo(config_.peer, config_.port, snap.Serialize());
+  socket_->SendTo(config_.peer, kHaSyncPort, snap.Serialize());
 }
 
 void HaReplicationLink::SendAck() {
   SyncAck ack;
   ack.epoch = ha_.epoch();
   ack.seq = expected_seq_ - 1;
-  socket_->SendTo(config_.peer, config_.port, ack.Serialize());
+  socket_->SendTo(config_.peer, kHaSyncPort, ack.Serialize());
 }
 
 void HaReplicationLink::RequestSnapshot() {
   const Time now = ha_.node().sim().Now();
-  if (snapshot_requested_ && now - last_snapshot_request_ < config_.heartbeat_interval) {
+  if (snapshot_requested_ && now - last_snapshot_request_ < kHeartbeatInterval) {
     return;
   }
   snapshot_requested_ = true;
@@ -182,7 +181,7 @@ void HaReplicationLink::RequestSnapshot() {
   SyncSnapshotRequest req;
   req.epoch = ha_.epoch();
   ++counters_.snapshot_requests;
-  socket_->SendTo(config_.peer, config_.port, req.Serialize());
+  socket_->SendTo(config_.peer, kHaSyncPort, req.Serialize());
 }
 
 void HaReplicationLink::OnSyncDatagram(const std::vector<uint8_t>& data) {

@@ -5,8 +5,8 @@
 //
 //  * On the primary it taps the agent's replication sink, streams each
 //    binding mutation to the peer with an epoch-scoped sequence number,
-//    heartbeats every heartbeat_interval, and pushes a full snapshot every
-//    snapshot_interval (and immediately on request) as anti-entropy.
+//    heartbeats every kHeartbeatInterval, and pushes a full snapshot every
+//    kSnapshotInterval (and immediately on request) as anti-entropy.
 //  * On the standby it applies in-order mutations, acks cumulatively,
 //    requests a snapshot when it detects a sequence gap, and watches the
 //    primary's heartbeats — takeover_timeout of silence promotes the agent
@@ -41,21 +41,21 @@ class HaReplicationLink {
  public:
   struct Config {
     // This agent's address and the peer agent's address (sync datagrams flow
-    // self:port <-> peer:port).
+    // self:kHaSyncPort <-> peer:kHaSyncPort).
     Ipv4Address self;
     Ipv4Address peer;
-    uint16_t port = kHaSyncPort;
-    Duration heartbeat_interval = Milliseconds(500);
     // Standby silence threshold before promoting itself. Stagger across the
     // pair (backup shorter) so the designated backup takes over first.
     Duration takeover_timeout = Milliseconds(2000);
-    // Periodic full-snapshot anti-entropy cadence while primary.
-    Duration snapshot_interval = Seconds(5);
     // When given, link accounting lands here under "<metric_prefix>*";
     // otherwise in a private registry.
     MetricsRegistry* metrics = nullptr;
     std::string metric_prefix = "repl.";
   };
+
+  static constexpr Duration kHeartbeatInterval = Milliseconds(500);
+  // Periodic full-snapshot anti-entropy cadence while primary.
+  static constexpr Duration kSnapshotInterval = Seconds(5);
 
   // Snapshot of the link's accounting (registry-backed counters named
   // "<metric_prefix><field>").

@@ -96,7 +96,11 @@ std::string ObjectOf(const std::vector<std::pair<std::string, JsonScalar>>& kv) 
 }  // namespace
 
 BenchReport::BenchReport(std::string bench_name, std::string title)
-    : bench_name_(std::move(bench_name)), title_(std::move(title)) {}
+    : bench_name_(std::move(bench_name)), title_(std::move(title)) {
+  // Wall-clock results compare only across like builds (both set by CMake).
+  AddParam("build_type", MSN_BUILD_TYPE);
+  AddParam("compiler", MSN_COMPILER);
+}
 
 void BenchReport::AddParam(const std::string& key, JsonScalar value) {
   params_.emplace_back(key, std::move(value));

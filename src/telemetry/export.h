@@ -10,7 +10,8 @@
 //     "title": "...",                    // one-line human description
 //     "seed": 1000,                      // base RNG seed of the run
 //     "smoke": false,                    // reduced-N CI smoke mode?
-//     "params": {"iterations": 20, ...}, // scalar run parameters
+//     "params": {"build_type": "Release", "compiler": "GNU 13.2.0",
+//                "iterations": 20, ...}, // scalar run parameters
 //     "summaries": [                     // sample-set summaries (exact stats)
 //       {"name": "switch_ms", "unit": "ms", "count": 20, "mean": ..,
 //        "stddev": .., "min": .., "max": .., "p50": .., "p95": .., "p99": ..}
@@ -91,7 +92,8 @@ class BenchReport {
   void set_seed(uint64_t seed) { seed_ = seed; }
   const std::string& bench_name() const { return bench_name_; }
 
-  // Scalar run parameters; insertion order is preserved.
+  // Scalar run parameters; insertion order is preserved. Every report starts
+  // with "build_type" and "compiler".
   void AddParam(const std::string& key, JsonScalar value);
 
   // Summary over a retained sample set: exact mean/stddev/min/max plus exact

@@ -4,6 +4,23 @@
 #include "src/util/logging.h"
 
 namespace msn {
+namespace {
+
+// A testbed home agent: the pipeline knobs apply to every agent built.
+HomeAgent::Config HomeAgentConfig(const TestbedConfig& tc, Ipv4Address address,
+                                  NetDevice* home_device, MetricsRegistry* metrics) {
+  HomeAgent::Config c;
+  c.address = address;
+  c.home_device = home_device;
+  c.home_subnet = Testbed::HomeSubnet();
+  c.metrics = metrics;
+  c.num_shards = tc.ha_shards;
+  c.batch_max = tc.ha_batch_max;
+  c.admission_queue_limit = tc.ha_admission_limit;
+  return c;
+}
+
+}  // namespace
 
 IpStack::DelayParams Testbed::SlowHostDelays() {
   IpStack::DelayParams p;
@@ -84,15 +101,7 @@ void Testbed::BuildRouter() {
   // Home agent placement.
   if (config_.ha_on_router) {
     ha_address_ = RouterOn135();
-    HomeAgent::Config ha_config;
-    ha_config.address = ha_address_;
-    ha_config.home_device = r135;
-    ha_config.home_subnet = HomeSubnet();
-    ha_config.calibration = config_.calibration;
-    ha_config.metrics = &metrics;
-    ha_config.num_shards = config_.ha_shards;
-    ha_config.batch_max = config_.ha_batch_max;
-    ha_config.admission_queue_limit = config_.ha_admission_limit;
+    const HomeAgent::Config ha_config = HomeAgentConfig(config_, ha_address_, r135, &metrics);
     home_agent = std::make_unique<HomeAgent>(*router, ha_config);
   } else {
     ha_host = std::make_unique<Node>(sim, "ha-host", &metrics);
@@ -106,16 +115,7 @@ void Testbed::BuildRouter() {
     ha_host->AddDefaultRoute(RouterOn135(), dev);
     ha_host->AddLoopback();
     ha_address_ = HaHostAddress();
-
-    HomeAgent::Config ha_config;
-    ha_config.address = ha_address_;
-    ha_config.home_device = dev;
-    ha_config.home_subnet = HomeSubnet();
-    ha_config.calibration = config_.calibration;
-    ha_config.metrics = &metrics;
-    ha_config.num_shards = config_.ha_shards;
-    ha_config.batch_max = config_.ha_batch_max;
-    ha_config.admission_queue_limit = config_.ha_admission_limit;
+    const HomeAgent::Config ha_config = HomeAgentConfig(config_, ha_address_, dev, &metrics);
     home_agent = std::make_unique<HomeAgent>(*ha_host, ha_config);
 
     if (config_.with_backup_ha) {
@@ -130,17 +130,9 @@ void Testbed::BuildRouter() {
       backup_ha_host->AddDefaultRoute(RouterOn135(), bdev);
       backup_ha_host->AddLoopback();
 
-      HomeAgent::Config backup_config;
-      backup_config.address = BackupHaAddress();
-      backup_config.home_device = bdev;
-      backup_config.home_subnet = HomeSubnet();
-      backup_config.calibration = config_.calibration;
-      backup_config.metrics = &metrics;
+      HomeAgent::Config backup_config = HomeAgentConfig(config_, BackupHaAddress(), bdev, &metrics);
       backup_config.metric_prefix = "ha.backup.";
       backup_config.initial_role = HaRole::kStandby;
-      backup_config.num_shards = config_.ha_shards;
-      backup_config.batch_max = config_.ha_batch_max;
-      backup_config.admission_queue_limit = config_.ha_admission_limit;
       backup_agent = std::make_unique<HomeAgent>(*backup_ha_host, backup_config);
 
       // Sync links, one per agent. Takeover timeouts are staggered so the
@@ -162,23 +154,21 @@ void Testbed::BuildRouter() {
     }
   }
 
-  if (config_.with_dhcp) {
-    DhcpServer::Config d8;
-    d8.device = r8;
-    d8.subnet = Net8();
-    d8.first_host_index = 100;
-    d8.pool_size = 64;
-    d8.gateway = RouterOn8();
-    dhcp_net8 = std::make_unique<DhcpServer>(*router, d8);
+  DhcpServer::Config d8;
+  d8.device = r8;
+  d8.subnet = Net8();
+  d8.first_host_index = 100;
+  d8.pool_size = 64;
+  d8.gateway = RouterOn8();
+  dhcp_net8 = std::make_unique<DhcpServer>(*router, d8);
 
-    DhcpServer::Config d134;
-    d134.device = r134;
-    d134.subnet = Net134();
-    d134.first_host_index = 100;
-    d134.pool_size = 64;
-    d134.gateway = RouterOn134();
-    dhcp_net134 = std::make_unique<DhcpServer>(*router, d134);
-  }
+  DhcpServer::Config d134;
+  d134.device = r134;
+  d134.subnet = Net134();
+  d134.first_host_index = 100;
+  d134.pool_size = 64;
+  d134.gateway = RouterOn134();
+  dhcp_net134 = std::make_unique<DhcpServer>(*router, d134);
 }
 
 void Testbed::BuildMobileHost() {
@@ -197,7 +187,6 @@ void Testbed::BuildMobileHost() {
   mc.home_gateway = RouterOn135();
   mc.home_device = mh_eth;
   mc.lifetime_sec = config_.mh_lifetime_sec;
-  mc.calibration = config_.calibration;
   mc.metrics = &metrics;
   if (config_.with_backup_ha) {
     mc.backup_home_agent = BackupHaAddress();

@@ -50,9 +50,6 @@ struct TestbedConfig {
   // Apply calibrated mid-90s kernel processing delays. Disable for unit
   // tests needing exact timing.
   bool realistic_delays = true;
-  // Run DHCP servers for the foreign subnets on the router.
-  bool with_dhcp = true;
-  Calibration calibration = Calibration::Default();
   uint16_t mh_lifetime_sec = 300;
   // HA registration pipeline knobs (DESIGN.md §17), applied to every agent
   // the testbed builds (primary and backup alike). Defaults keep the classic

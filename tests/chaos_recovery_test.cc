@@ -133,45 +133,34 @@ TEST(ChaosDeterminismTest, SameSeedSameRecovery) {
 }
 
 // Satellite: backoff bounds the retransmit rate. During a long HA outage a
-// renewing MH with decorrelated-jitter backoff sends far fewer registrations
-// than the legacy fixed-interval retransmitter, and still recovers.
+// renewing MH with decorrelated-jitter backoff sends few registrations (a
+// fixed 1 s interval would send ~1 per second, 40+ across the outage), and
+// still recovers.
 TEST_F(ChaosFixture, BackoffBoundsRetransmitRateDuringOutage) {
-  auto sends_during_outage = [](bool backoff) {
-    TestbedConfig cfg;
-    cfg.seed = 13;
-    cfg.realistic_delays = false;
-    cfg.mh_lifetime_sec = 5;
-    Testbed tb(cfg);
-    tb.StartMobileAtHome();
-    tb.StartMobileOnWired(50);
+  TestbedConfig cfg;
+  cfg.seed = 13;
+  cfg.realistic_delays = false;
+  cfg.mh_lifetime_sec = 5;
+  Testbed tb(cfg);
+  tb.StartMobileAtHome();
+  tb.StartMobileOnWired(50);
 
-    MobileHost::Config mc = tb.mobile->config();
-    mc.retransmit_backoff = backoff;
-    tb.mobile.reset();
-    tb.mobile = std::make_unique<MobileHost>(*tb.mh, mc);
-    bool ok = false;
-    tb.mobile->AttachForeign(tb.WiredAttachment(50), [&](bool r) { ok = r; });
-    tb.RunFor(Seconds(3));
-    EXPECT_TRUE(ok);
+  bool ok = false;
+  tb.mobile->AttachForeign(tb.WiredAttachment(50), [&](bool r) { ok = r; });
+  tb.RunFor(Seconds(3));
+  EXPECT_TRUE(ok);
 
-    // Outage spans many renewal retransmissions; no daemon restart.
-    FaultSchedule schedule;
-    schedule.HaOutage(Seconds(1), *tb.home_agent, Seconds(50), HaOutageKind::kService);
-    schedule.Arm(tb.sim);
-    const uint64_t sent_before = tb.mobile->counters().registrations_sent;
-    tb.RunFor(Seconds(60));
-    EXPECT_EQ(tb.mobile->state(), MobileHost::State::kRegistered);
-    EXPECT_GE(tb.mobile->counters().recoveries, 1u);
-    return tb.mobile->counters().registrations_sent - sent_before;
-  };
-
-  const uint64_t with_backoff = sends_during_outage(true);
-  const uint64_t fixed_interval = sends_during_outage(false);
-  // Fixed 1 s interval: ~1 send/second across the outage. Backoff caps at
-  // 8 s waits, so well under half the sends.
-  EXPECT_GE(fixed_interval, 40u);
+  // Outage spans many renewal retransmissions; no daemon restart.
+  FaultSchedule schedule;
+  schedule.HaOutage(Seconds(1), *tb.home_agent, Seconds(50), HaOutageKind::kService);
+  schedule.Arm(tb.sim);
+  const uint64_t sent_before = tb.mobile->counters().registrations_sent;
+  tb.RunFor(Seconds(60));
+  EXPECT_EQ(tb.mobile->state(), MobileHost::State::kRegistered);
+  EXPECT_GE(tb.mobile->counters().recoveries, 1u);
+  // Backoff caps at 8 s waits.
+  const uint64_t with_backoff = tb.mobile->counters().registrations_sent - sent_before;
   EXPECT_LE(with_backoff, 20u);
-  EXPECT_LT(with_backoff * 2, fixed_interval);
 }
 
 // Satellite: HA binding expiry racing an in-flight renewal. A link blackout

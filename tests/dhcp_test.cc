@@ -103,17 +103,16 @@ TEST_F(DhcpFixture, ReassignmentAvoidance) {
 
 TEST_F(DhcpFixture, AcquisitionTimesOutWithoutServer) {
   tb_->dhcp_net8.reset();  // Kill the server.
-  DhcpClient::Config cc;
-  cc.retry_interval = Milliseconds(500);
-  cc.max_retries = 2;
-  DhcpClient client(*tb_->mh, tb_->mh_eth, cc);
+  DhcpClient client(*tb_->mh, tb_->mh_eth);
   bool completed = false;
   bool got_lease = true;
   client.Acquire([&](std::optional<DhcpLease> l) {
     completed = true;
     got_lease = l.has_value();
   });
-  tb_->RunFor(Seconds(5));
+  // The initial DISCOVER and kMaxRetries re-sends, kRetryInterval apart,
+  // give up at 8 s.
+  tb_->RunFor(Seconds(10));
   EXPECT_TRUE(completed);
   EXPECT_FALSE(got_lease);
 }
@@ -158,17 +157,14 @@ TEST_F(DhcpFixture, PoolExhaustion) {
   Node other(tb_->sim, "other");
   EthernetDevice* odev = other.AddEthernet("eth0", tb_->net8.get());
   odev->ForceUp();
-  DhcpClient::Config cc;
-  cc.retry_interval = Milliseconds(500);
-  cc.max_retries = 1;
-  DhcpClient second(other, odev, cc);
+  DhcpClient second(other, odev);
   bool completed = false;
   bool got = true;
   second.Acquire([&](std::optional<DhcpLease> l) {
     completed = true;
     got = l.has_value();
   });
-  tb_->RunFor(Seconds(5));
+  tb_->RunFor(Seconds(10));  // Past the 8 s give-up.
   EXPECT_TRUE(completed);
   EXPECT_FALSE(got);
   EXPECT_GE(tb_->dhcp_net8->counters().pool_exhausted, 1u);

@@ -22,7 +22,7 @@ namespace {
 class HaAdmissionFixture : public ::testing::Test {
  protected:
   void Build(uint32_t shards, uint32_t batch_max, uint32_t admission_limit,
-             uint32_t drop_limit = 0, bool require_auth = false) {
+             bool require_auth = false) {
     TestbedConfig cfg;
     cfg.seed = 5;
     cfg.realistic_delays = false;  // Exact, fast control-plane behaviour.
@@ -30,10 +30,9 @@ class HaAdmissionFixture : public ::testing::Test {
     cfg.ha_batch_max = batch_max;
     cfg.ha_admission_limit = admission_limit;
     tb_ = std::make_unique<Testbed>(cfg);
-    if (drop_limit > 0 || require_auth) {
+    if (require_auth) {
       HomeAgent::Config hc = tb_->home_agent->config();
-      hc.admission_drop_limit = drop_limit;
-      hc.require_authentication = require_auth;
+      hc.require_authentication = true;
       tb_->home_agent.reset();
       tb_->home_agent = std::make_unique<HomeAgent>(*tb_->router, hc);
     }
@@ -98,8 +97,7 @@ TEST_F(HaAdmissionFixture, OverloadDeniedStatelesslyBeforeAuthentication) {
   // over-limit arrival is shed with kDeniedInsufficientResources — proof the
   // admission check runs before any authentication work (a post-auth denial
   // would be kDeniedFailedAuthentication).
-  Build(/*shards=*/1, /*batch_max=*/1, /*admission_limit=*/2,
-        /*drop_limit=*/0, /*require_auth=*/true);
+  Build(/*shards=*/1, /*batch_max=*/1, /*admission_limit=*/2, /*require_auth=*/true);
 
   // Burst of unauthenticated requests from distinct homes. The first is
   // dequeued by the daemon (busy ~1.48 ms), the next two fill the queue to
@@ -124,11 +122,11 @@ TEST_F(HaAdmissionFixture, OverloadDeniedStatelesslyBeforeAuthentication) {
 }
 
 TEST_F(HaAdmissionFixture, DenialBudgetExhaustionDropsSilently) {
-  // queue_limit 1, drop_limit 2: while the daemon chews on the first
+  // queue_limit 1, so drop limit 2: while the daemon chews on the first
   // request, the second fills the queue, the third is denied (pressure
   // depth 1 + denials 0 < 2), and the fourth is dropped without a reply
   // (depth 1 + denials 1 >= 2).
-  Build(/*shards=*/1, /*batch_max=*/1, /*admission_limit=*/1, /*drop_limit=*/2);
+  Build(/*shards=*/1, /*batch_max=*/1, /*admission_limit=*/1);
 
   for (uint32_t i = 0; i < 4; ++i) {
     SendRequest(MakeRequest(Home(i), CareOf(i), 1));

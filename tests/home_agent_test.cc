@@ -81,7 +81,7 @@ TEST_F(HomeAgentFixture, ClampsExcessiveLifetime) {
   tb_->RunFor(Seconds(1));
   ASSERT_TRUE(last_reply_.has_value());
   EXPECT_TRUE(last_reply_->accepted());
-  EXPECT_EQ(last_reply_->lifetime_sec, 600);  // max_lifetime_sec default.
+  EXPECT_EQ(last_reply_->lifetime_sec, HomeAgent::kMaxLifetimeSec);
 }
 
 TEST_F(HomeAgentFixture, DeniesForeignHomeAddress) {

@@ -1,6 +1,9 @@
-// Unit tests for the mobile-IP registration message formats and the Mobile
-// Policy Table.
+// Unit tests for the mobile-IP registration message formats, the shared
+// registration retransmit backoff, and the Mobile Policy Table.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "src/mip/messages.h"
 #include "src/mip/policy_table.h"
@@ -82,6 +85,29 @@ TEST(RegistrationReplyTest, ParseRejectsWrongType) {
   auto bytes = reply.Serialize();
   bytes[0] = 1;
   EXPECT_FALSE(RegistrationReply::Parse(bytes).has_value());
+}
+
+// --- Registration retransmit backoff ------------------------------------------------
+
+TEST(RegistrationBackoffTest, JitterStaysInBoundsSaturatesAndReplays) {
+  auto schedule = [](uint64_t seed) {
+    Rng rng(seed);
+    std::vector<int64_t> waits_ns;
+    Duration wait;  // Zero: a fresh attempt.
+    for (int i = 0; i < 32; ++i) {
+      wait = NextRegistrationBackoff(wait, rng);
+      waits_ns.push_back(wait.nanos());
+    }
+    return waits_ns;
+  };
+  const std::vector<int64_t> waits = schedule(42);
+  EXPECT_EQ(waits.front(), Seconds(1).nanos());
+  for (size_t i = 1; i < waits.size(); ++i) {
+    EXPECT_GE(waits[i], Seconds(1).nanos()) << "wait " << i;
+    EXPECT_LE(waits[i], 3 * waits[i - 1]) << "wait " << i;
+  }
+  EXPECT_EQ(*std::max_element(waits.begin(), waits.end()), Seconds(8).nanos());
+  EXPECT_EQ(waits, schedule(42));
 }
 
 // --- Mobile Policy Table --------------------------------------------------------------

