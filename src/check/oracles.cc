@@ -163,6 +163,25 @@ OracleSuite::OracleSuite(Testbed& testbed, const ScenarioSpec& spec,
   }
   std::sort(noisy_.begin(), noisy_.end(),
             [](const NoisyWindow& a, const NoisyWindow& b) { return a.from < b.from; });
+
+  // The agents' exported bindings gauges exist from construction on, so
+  // they are resolved here once rather than by name on every tick.
+  const auto watch = [this](std::string name) {
+    const Gauge* gauge = tb_.metrics.FindGauge(name);
+    return WatchedGauge{std::move(name), gauge};
+  };
+  for (const HomeAgent* agent : {tb_.home_agent.get(), tb_.backup_agent.get()}) {
+    if (agent == nullptr) {
+      continue;
+    }
+    AgentGauges& g = agents_.emplace_back();
+    g.agent = agent;
+    const std::string& prefix = agent->config().metric_prefix;
+    g.bindings = watch(prefix + "bindings");
+    for (size_t s = 0; s < agent->shard_count(); ++s) {
+      g.shard_bindings.push_back(watch(prefix + "shard." + std::to_string(s) + ".bindings"));
+    }
+  }
 }
 
 void OracleSuite::Begin() { start_ = tb_.sim.Now(); }
@@ -236,15 +255,15 @@ void OracleSuite::OnTick() {
   const HomeAgent& ha = *tb_.home_agent;
 
   // ttl-loop: a routing/forwarding loop anywhere shows up as TTL-expired
-  // drops on some stack.
+  // drops on some stack. The walk reads the live registry, so a stack that
+  // registers mid-run is covered too.
   ++report_.checks;
-  for (const auto& [name, value] : tb_.metrics.ScalarSnapshot("ip.")) {
-    constexpr const char* kSuffix = ".drop_ttl";
-    if (name.size() > 9 && name.compare(name.size() - 9, 9, kSuffix) == 0 && value > 0) {
+  tb_.metrics.ForEachScalar("ip.", [&](const std::string& name, double value) {
+    if (value > 0 && name.ends_with(".drop_ttl")) {
       report_.Add("ttl-loop", name + " = " + FormatMetricValue(value) + " at " +
                                   FormatMs(now - start_));
     }
-  }
+  });
 
   // binding-table: one mobile host (plus, on overload runs, at most one
   // binding per fleet client) => each agent's table is bounded, and every
@@ -252,22 +271,14 @@ void OracleSuite::OnTick() {
   ++report_.checks;
   const size_t max_bindings =
       1 + (spec_.overload.enabled ? spec_.overload.clients : 0);
-  for (const HomeAgent* agent : {tb_.home_agent.get(), tb_.backup_agent.get()}) {
-    if (agent == nullptr) {
-      continue;
-    }
-    if (agent->binding_count() > max_bindings) {
+  for (const AgentGauges& g : agents_) {
+    if (g.agent->binding_count() > max_bindings) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%zu bindings for %zu registrant(s)",
-                    agent->binding_count(), max_bindings);
+                    g.agent->binding_count(), max_bindings);
       report_.Add("binding-table", buf);
     }
-    const std::string gauge_name = agent->config().metric_prefix + "bindings";
-    if (const auto gauge = tb_.metrics.ReadValue(gauge_name);
-        gauge.has_value() && *gauge != static_cast<double>(agent->binding_count())) {
-      report_.Add("binding-table", gauge_name + " gauge " + FormatMetricValue(*gauge) +
-                                       " != binding table size");
-    }
+    CheckGauge("binding-table", g.bindings, g.agent->binding_count(), "binding table size");
   }
 
   ShardOracles();
@@ -341,24 +352,24 @@ void OracleSuite::ShardOracles() {
   // agrees with its table. Unconditional — no fault or movement can excuse a
   // broken shard map.
   ++report_.checks;
-  for (const HomeAgent* agent : {tb_.home_agent.get(), tb_.backup_agent.get()}) {
-    if (agent == nullptr) {
-      continue;
-    }
-    if (std::string err = agent->ShardConsistencyError(); !err.empty()) {
+  for (const AgentGauges& g : agents_) {
+    if (std::string err = g.agent->ShardConsistencyError(); !err.empty()) {
       report_.Add("shard-consistency", err);
     }
-    for (size_t s = 0; s < agent->shard_count(); ++s) {
-      const std::string gauge_name =
-          agent->config().metric_prefix + "shard." + std::to_string(s) + ".bindings";
-      if (const auto gauge = tb_.metrics.ReadValue(gauge_name);
-          gauge.has_value() &&
-          *gauge != static_cast<double>(agent->ShardBindingCount(s))) {
-        report_.Add("shard-consistency", gauge_name + " gauge " +
-                                             FormatMetricValue(*gauge) +
-                                             " != shard table size");
-      }
+    for (size_t s = 0; s < g.shard_bindings.size(); ++s) {
+      CheckGauge("shard-consistency", g.shard_bindings[s], g.agent->ShardBindingCount(s),
+                 "shard table size");
     }
+  }
+}
+
+void OracleSuite::CheckGauge(const char* oracle, const WatchedGauge& watched, size_t table_size,
+                             const char* table) {
+  if (watched.gauge == nullptr) {
+    return;  // Not exported under this name; nothing to cross-check.
+  }
+  if (const double value = watched.gauge->value(); value != static_cast<double>(table_size)) {
+    report_.Add(oracle, watched.name + " gauge " + FormatMetricValue(value) + " != " + table);
   }
 }
 

@@ -132,6 +132,20 @@ class OracleSuite {
     Duration to;
   };
 
+  // An exported gauge an oracle compares with a table, looked up by name once
+  // when the suite is built. Null when nothing is exported under `name`.
+  struct WatchedGauge {
+    std::string name;
+    const Gauge* gauge = nullptr;
+  };
+  struct AgentGauges {
+    const HomeAgent* agent = nullptr;
+    WatchedGauge bindings;                     // <prefix>bindings
+    std::vector<WatchedGauge> shard_bindings;  // <prefix>shard.<i>.bindings
+  };
+
+  void CheckGauge(const char* oracle, const WatchedGauge& watched, size_t table_size,
+                  const char* table);
   [[nodiscard]] bool QuietNow() const;
   [[nodiscard]] bool InNoisyWindow(Duration offset) const;
   void CloseQuietStretch(Time end);
@@ -151,6 +165,7 @@ class OracleSuite {
   bool settles_ = false;
   std::vector<NoisyWindow> noisy_;  // Sorted by `from`.
   Time start_;                      // Sim time of Begin().
+  std::vector<AgentGauges> agents_;  // Primary, then backup if present.
 
   // Quiet-interval tracking for the probe-conservation oracle.
   std::optional<Time> quiet_since_;

@@ -44,7 +44,10 @@ void MovementDetector::ReportSignal(const std::string& device_name, double rssi_
     t->rssi_dbm = rssi_dbm;
     t->have_rssi = true;
     if (config_.metrics != nullptr) {
-      config_.metrics->GetGauge("mh.movedet.rssi_dbm." + device_name).Set(rssi_dbm);
+      if (t->rssi_gauge == nullptr) {
+        t->rssi_gauge = &config_.metrics->GetGauge("mh.movedet.rssi_dbm." + device_name);
+      }
+      t->rssi_gauge->Set(rssi_dbm);
     }
     return;
   }
@@ -96,10 +99,13 @@ void MovementDetector::ProbeRound() {
                        tp->rounds_usable = 0;
                      }
                      if (config_.metrics != nullptr) {
-                       const std::string& dev = tp->candidate.attachment.device->name();
-                       config_.metrics->GetGauge("mh.movedet.loss." + dev).Set(tp->loss_ewma);
-                       config_.metrics->GetGauge("mh.movedet.rtt_ms." + dev)
-                           .Set(tp->last_rtt.ToMillisF());
+                       if (tp->loss_gauge == nullptr) {
+                         const std::string& dev = tp->candidate.attachment.device->name();
+                         tp->loss_gauge = &config_.metrics->GetGauge("mh.movedet.loss." + dev);
+                         tp->rtt_gauge = &config_.metrics->GetGauge("mh.movedet.rtt_ms." + dev);
+                       }
+                       tp->loss_gauge->Set(tp->loss_ewma);
+                       tp->rtt_gauge->Set(tp->last_rtt.ToMillisF());
                      }
                    });
   }

@@ -70,6 +70,8 @@ class MovementDetector {
     // off *before* walking out of coverage.
     bool use_signal = false;
     // Optional: per-link loss/RTT/RSSI gauges under "mh.movedet.*".
+    // Each is looked up by name on its first update, then set through the
+    // kept reference.
     MetricsRegistry* metrics = nullptr;
   };
 
@@ -132,6 +134,10 @@ class MovementDetector {
     bool probe_outstanding = false;
     double rssi_dbm = 0.0;
     bool have_rssi = false;
+    // mh.movedet.* gauges, looked up on first use.
+    Gauge* rssi_gauge = nullptr;
+    Gauge* loss_gauge = nullptr;
+    Gauge* rtt_gauge = nullptr;
   };
 
   void ProbeRound();

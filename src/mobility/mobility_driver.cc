@@ -16,6 +16,7 @@ MobilityDriver::MobilityDriver(MobileHost& mobile, CampusMap map,
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     config_.metrics = owned_metrics_.get();
   }
+  residency_.resize(map_.base_stations().size());
 }
 
 MobilityDriver::~MobilityDriver() { Stop(); }
@@ -65,9 +66,14 @@ void MobilityDriver::Tick() {
   counters_.ticks += 1;
 
   MetricsRegistry& metrics = *config_.metrics;
-  metrics.GetCounter("mobility.ticks").Add(1);
-  metrics.GetGauge("mobility.pos_x_m").Set(pos.x);
-  metrics.GetGauge("mobility.pos_y_m").Set(pos.y);
+  if (ticks_ == nullptr) {
+    ticks_ = &metrics.GetCounter("mobility.ticks");
+    pos_x_ = &metrics.GetGauge("mobility.pos_x_m");
+    pos_y_ = &metrics.GetGauge("mobility.pos_y_m");
+  }
+  ticks_->Add(1);
+  pos_x_->Set(pos.x);
+  pos_y_->Set(pos.y);
 
   for (Bound& b : bound_) {
     UpdateQuality(b);
@@ -79,7 +85,12 @@ void MobilityDriver::Tick() {
   for (const Bound& b : bound_) {
     if (b.binding.attachment.device == mobile_.attachment().device &&
         b.state.station != nullptr) {
-      metrics.GetCounter("mobility.residency." + b.state.station->name).Add(1);
+      Counter*& residency =
+          residency_[static_cast<size_t>(b.state.station - map_.base_stations().data())];
+      if (residency == nullptr) {
+        residency = &metrics.GetCounter("mobility.residency." + b.state.station->name);
+      }
+      residency->Add(1);
       break;
     }
   }
@@ -122,10 +133,13 @@ void MobilityDriver::UpdateQuality(Bound& b) {
   params.latency = params.latency + LatencyAtDistance(b.binding.quality, b.state.distance_m);
   b.binding.medium->set_params(params);
 
-  const char* cell_name = CellMediumName(b.binding.cell_medium);
-  MetricsRegistry& metrics = *config_.metrics;
-  metrics.GetGauge("mobility.loss." + std::string(cell_name)).Set(b.state.loss);
-  metrics.GetGauge("mobility.rssi_dbm." + std::string(cell_name)).Set(b.state.rssi_dbm);
+  if (b.loss_gauge == nullptr) {
+    const std::string cell_name = CellMediumName(b.binding.cell_medium);
+    b.loss_gauge = &config_.metrics->GetGauge("mobility.loss." + cell_name);
+    b.rssi_gauge = &config_.metrics->GetGauge("mobility.rssi_dbm." + cell_name);
+  }
+  b.loss_gauge->Set(b.state.loss);
+  b.rssi_gauge->Set(b.state.rssi_dbm);
 
   if (config_.detector != nullptr) {
     config_.detector->ReportSignal(b.binding.attachment.device->name(), b.state.rssi_dbm);
@@ -168,13 +182,18 @@ void MobilityDriver::NoteHandoffs() {
       break;
     }
   }
-  MetricsRegistry& metrics = *config_.metrics;
   if (previous_was_covered) {
     counters_.handoffs_signal += 1;
-    metrics.GetCounter("mobility.handoffs_signal").Add(1);
+    if (handoffs_signal_ == nullptr) {
+      handoffs_signal_ = &config_.metrics->GetCounter("mobility.handoffs_signal");
+    }
+    handoffs_signal_->Add(1);
   } else {
     counters_.handoffs_coverage += 1;
-    metrics.GetCounter("mobility.handoffs_coverage").Add(1);
+    if (handoffs_coverage_ == nullptr) {
+      handoffs_coverage_ = &config_.metrics->GetCounter("mobility.handoffs_coverage");
+    }
+    handoffs_coverage_->Add(1);
   }
   last_device_ = current;
 }

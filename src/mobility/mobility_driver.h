@@ -21,7 +21,9 @@
 //
 // Telemetry (all under "mobility.*"): position gauges, per-medium
 // loss/RSSI gauges, per-cell residency tick counters, handoff cause
-// counters.
+// counters. Each is looked up by name on its first use and recorded through
+// the kept reference after that, so it appears in the registry when it first
+// has a value.
 #ifndef MSN_SRC_MOBILITY_MOBILITY_DRIVER_H_
 #define MSN_SRC_MOBILITY_MOBILITY_DRIVER_H_
 
@@ -104,6 +106,8 @@ class MobilityDriver {
     MediumBinding binding;
     MediumParams base_params;  // Medium params before the driver touched them.
     MediumState state;
+    Gauge* loss_gauge = nullptr;  // mobility.loss.<cell>
+    Gauge* rssi_gauge = nullptr;  // mobility.rssi_dbm.<cell>
   };
 
   void Tick();
@@ -120,6 +124,12 @@ class MobilityDriver {
   Counters counters_;
   NetDevice* last_device_ = nullptr;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // Fallback when unbound.
+  Counter* ticks_ = nullptr;
+  Gauge* pos_x_ = nullptr;
+  Gauge* pos_y_ = nullptr;
+  Counter* handoffs_signal_ = nullptr;
+  Counter* handoffs_coverage_ = nullptr;
+  std::vector<Counter*> residency_;  // Indexed like map_.base_stations().
 };
 
 }  // namespace msn

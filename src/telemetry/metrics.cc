@@ -125,6 +125,7 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name, double relativ
 }
 
 MetricsRegistry::Entry& MetricsRegistry::GetEntry(const std::string& name, MetricType type) {
+  ++lookups_;
   auto [it, inserted] = metrics_.try_emplace(name);
   if (inserted) {
     it->second.type = type;
@@ -136,12 +137,30 @@ MetricsRegistry::Entry& MetricsRegistry::GetEntry(const std::string& name, Metri
   return it->second;
 }
 
+MetricsRegistry::Map::const_iterator MetricsRegistry::Find(const std::string& name) const {
+  ++lookups_;
+  return metrics_.find(name);
+}
+
+double MetricsRegistry::ScalarValue(const Entry& e) {
+  // Every entry holds the object its Get* call created.
+  switch (e.type) {
+    case MetricType::kCounter:
+      return static_cast<double>(e.counter->value());
+    case MetricType::kGauge:
+      return e.gauge->value();
+    case MetricType::kHistogram:
+      return static_cast<double>(e.histogram->count());
+  }
+  return 0.0;
+}
+
 bool MetricsRegistry::Contains(const std::string& name) const {
-  return metrics_.find(name) != metrics_.end();
+  return Find(name) != metrics_.end();
 }
 
 std::optional<MetricType> MetricsRegistry::TypeOf(const std::string& name) const {
-  auto it = metrics_.find(name);
+  auto it = Find(name);
   if (it == metrics_.end()) {
     return std::nullopt;
   }
@@ -149,24 +168,23 @@ std::optional<MetricType> MetricsRegistry::TypeOf(const std::string& name) const
 }
 
 std::optional<double> MetricsRegistry::ReadValue(const std::string& name) const {
-  auto it = metrics_.find(name);
+  auto it = Find(name);
   if (it == metrics_.end()) {
     return std::nullopt;
   }
-  const Entry& e = it->second;
-  switch (e.type) {
-    case MetricType::kCounter:
-      return e.counter ? static_cast<double>(e.counter->value()) : 0.0;
-    case MetricType::kGauge:
-      return e.gauge ? e.gauge->value() : 0.0;
-    case MetricType::kHistogram:
-      return e.histogram ? static_cast<double>(e.histogram->count()) : 0.0;
+  return ScalarValue(it->second);
+}
+
+const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
+  auto it = Find(name);
+  if (it == metrics_.end() || it->second.type != MetricType::kGauge) {
+    return nullptr;
   }
-  return std::nullopt;
+  return it->second.gauge.get();
 }
 
 const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
-  auto it = metrics_.find(name);
+  auto it = Find(name);
   if (it == metrics_.end() || it->second.type != MetricType::kHistogram) {
     return nullptr;
   }
@@ -184,17 +202,9 @@ std::vector<std::string> MetricsRegistry::Names() const {
 
 std::map<std::string, double> MetricsRegistry::ScalarSnapshot(const std::string& prefix) const {
   std::map<std::string, double> out;
-  // std::map iteration is name-sorted; the prefix range could be found with
-  // lower_bound, but registries are small and oracles sample at a coarse
-  // interval, so the simple scan keeps this obviously correct.
-  for (const auto& [name, entry] : metrics_) {
-    if (name.compare(0, prefix.size(), prefix) != 0) {
-      continue;
-    }
-    if (auto value = ReadValue(name); value.has_value()) {
-      out.emplace(name, *value);
-    }
-  }
+  ForEachScalar(prefix, [&out](const std::string& name, double value) {
+    out.emplace_hint(out.end(), name, value);
+  });
   return out;
 }
 
@@ -205,28 +215,19 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
     MetricSnapshot s;
     s.name = name;
     s.type = entry.type;
-    switch (entry.type) {
-      case MetricType::kCounter:
-        s.value = entry.counter ? static_cast<double>(entry.counter->value()) : 0.0;
-        break;
-      case MetricType::kGauge:
-        s.value = entry.gauge ? entry.gauge->value() : 0.0;
-        break;
-      case MetricType::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        s.value = static_cast<double>(h.count());
-        HistogramSnapshot hs;
-        hs.count = h.count();
-        hs.sum = h.sum();
-        hs.mean = h.mean();
-        hs.min = h.min();
-        hs.max = h.max();
-        hs.p50 = h.Quantile(50);
-        hs.p95 = h.Quantile(95);
-        hs.p99 = h.Quantile(99);
-        s.histogram = hs;
-        break;
-      }
+    s.value = ScalarValue(entry);
+    if (entry.type == MetricType::kHistogram) {
+      const Histogram& h = *entry.histogram;
+      HistogramSnapshot hs;
+      hs.count = h.count();
+      hs.sum = h.sum();
+      hs.mean = h.mean();
+      hs.min = h.min();
+      hs.max = h.max();
+      hs.p50 = h.Quantile(50);
+      hs.p95 = h.Quantile(95);
+      hs.p99 = h.Quantile(99);
+      s.histogram = hs;
     }
     out.push_back(std::move(s));
   }

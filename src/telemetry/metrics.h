@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace msn {
@@ -162,6 +163,12 @@ struct MetricSnapshot {
 // instance thereafter; requesting an existing name as a different type is a
 // programming error and aborts. Not thread-safe (the simulator is
 // single-threaded by design).
+//
+// Name-keyed calls (Get*, Find*, ReadValue, Contains, TypeOf, Remove) are for
+// set-up and export. A component that records or reads on a periodic or
+// per-packet path resolves each name once and keeps the returned reference
+// (DESIGN.md §10); lookups() counts the name-keyed calls so tests can hold
+// hot paths to that.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -181,22 +188,40 @@ class MetricsRegistry {
   [[nodiscard]] std::optional<MetricType> TypeOf(const std::string& name) const;
   // Scalar reading used by the sampler: counter/gauge value; histogram count.
   [[nodiscard]] std::optional<double> ReadValue(const std::string& name) const;
+  // Never create: null when `name` is missing or registered as another type.
+  [[nodiscard]] const Gauge* FindGauge(const std::string& name) const;
   [[nodiscard]] const Histogram* FindHistogram(const std::string& name) const;
+
+  // Calls visit(name, scalar) for every metric whose name starts with
+  // `prefix`, in name order, reading each entry in place. The scalar is the
+  // counter/gauge value or the histogram count, as ReadValue gives.
+  template <typename Visit>
+  void ForEachScalar(std::string_view prefix, Visit&& visit) const {
+    for (auto it = metrics_.lower_bound(prefix);
+         it != metrics_.end() && it->first.starts_with(prefix); ++it) {
+      visit(it->first, ScalarValue(it->second));
+    }
+  }
 
   size_t size() const { return metrics_.size(); }
   // Name-sorted.
   std::vector<std::string> Names() const;
   std::vector<MetricSnapshot> Snapshot() const;
 
-  // Oracle snapshot: every metric under `prefix` ("" = all) as a name-sorted
-  // scalar map (counter/gauge value; histogram count). Invariant oracles diff
-  // two of these to reason about what a run segment did — the map form makes
-  // "counter X never moved between checkpoints" a lookup, not a scan.
+  // Every metric under `prefix` ("" = all) as a name-sorted scalar map
+  // (counter/gauge value; histogram count), for diffing two points of a run.
   [[nodiscard]] std::map<std::string, double> ScalarSnapshot(
       const std::string& prefix = std::string()) const;
 
   // Drops a metric (used when a short-lived probe owner unbinds itself).
-  void Remove(const std::string& name) { metrics_.erase(name); }
+  void Remove(const std::string& name) {
+    ++lookups_;
+    metrics_.erase(name);
+  }
+
+  // Name-keyed calls made so far (see the class comment); a ForEachScalar
+  // walk does not count.
+  uint64_t lookups() const { return lookups_; }
 
  private:
   struct Entry {
@@ -205,11 +230,16 @@ class MetricsRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
+  // std::map so iteration (and therefore every export) is name-sorted;
+  // std::less<> so a string_view prefix finds its range without a copy.
+  using Map = std::map<std::string, Entry, std::less<>>;
 
   Entry& GetEntry(const std::string& name, MetricType type);
+  Map::const_iterator Find(const std::string& name) const;
+  static double ScalarValue(const Entry& e);
 
-  // std::map so iteration (and therefore every export) is name-sorted.
-  std::map<std::string, Entry> metrics_;
+  Map metrics_;
+  mutable uint64_t lookups_ = 0;
 };
 
 }  // namespace msn

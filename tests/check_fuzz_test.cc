@@ -1,17 +1,23 @@
 // Tests for the deterministic scenario fuzzer (DESIGN.md §13): generator
 // determinism, scenario text round-trips, NormalizeSpec as a fixed point,
-// clean seeds staying clean, byte-identical failure reports, and the full
+// clean seeds staying clean, the ttl-loop oracle on a provoked TTL-expired
+// drop (also on a stack registered mid-run), byte-identical failure
+// reports, and the full
 // injected-bug pipeline — sabotage the home agent through RunOptions::
 // instrument, watch an oracle catch it, and shrink the repro to a handful
 // of events.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/check/fuzzer.h"
 #include "src/check/scenario_gen.h"
 #include "src/check/shrink.h"
 #include "src/mip/home_agent.h"
+#include "src/node/node.h"
 #include "src/topo/testbed.h"
 
 namespace msn {
@@ -108,6 +114,66 @@ TEST(CheckFuzzTest, OverloadStanzaShedsAndConverges) {
   }
   EXPECT_GT(overload_runs, 0u) << "no generated seed enabled the overload stanza";
   EXPECT_EQ(shed_runs, 1u) << "no overload burst ever tripped the admission filter";
+}
+
+// ttl-loop: a datagram that reaches a forwarder with TTL 1 is dropped there,
+// which is exactly what a forwarding loop leaves behind.
+constexpr uint64_t kTtlSeed = 1;  // Clean in CleanSeedsStayClean.
+
+IpStack::SendOptions TtlOne() {
+  IpStack::SendOptions opts;
+  opts.ttl = 1;
+  return opts;
+}
+
+TEST(CheckFuzzTest, CleanSeedReportsNoTtlLoop) {
+  const RunResult result = FuzzOne(kTtlSeed);
+  EXPECT_EQ(result.report.violations.count("ttl-loop"), 0u) << result.report.ToString();
+}
+
+TEST(CheckFuzzTest, TtlLoopOracleCatchesExpiredDatagram) {
+  RunOptions options;
+  options.instrument = [](Testbed& tb) {
+    // The correspondent's packet to a home-net neighbour crosses the router.
+    tb.sim.Schedule(Seconds(5), [&tb] {
+      tb.ch->stack().SendDatagram(tb.ch_address(), Ipv4Address(36, 135, 0, 99), IpProto::kUdp,
+                                  std::vector<uint8_t>(8, 0), TtlOne());
+    });
+  };
+  const RunResult result = FuzzOne(kTtlSeed, options);
+  ASSERT_EQ(result.report.violations.count("ttl-loop"), 1u) << result.report.ToString();
+  EXPECT_NE(result.report.violations.at("ttl-loop").detail.find("ip.router.drop_ttl"),
+            std::string::npos)
+      << result.report.ToString();
+}
+
+TEST(CheckFuzzTest, TtlLoopOracleCoversStackRegisteredMidRun) {
+  // A forwarder that joins net 36.8 after the suite started: its "ip.late.*"
+  // counters did not exist when the oracles were built.
+  std::unique_ptr<Node> late;
+  RunOptions options;
+  options.instrument = [&late](Testbed& tb) {
+    tb.sim.Schedule(Seconds(5), [&late, &tb] {
+      late = std::make_unique<Node>(tb.sim, "late", &tb.metrics);
+      EthernetDevice* eth = late->AddEthernet("eth0", tb.net8.get());
+      eth->ForceUp();
+      late->stack().set_forwarding_enabled(true);
+      // The router hands it a TTL-1 datagram for somewhere else.
+      IpStack::SendOptions opts = TtlOne();
+      opts.force_device = tb.router->FindDevice("eth8");
+      opts.force_dst_mac = eth->mac();
+      tb.router->stack().SendDatagram(Testbed::RouterOn8(), Ipv4Address(10, 9, 9, 9),
+                                      IpProto::kUdp, std::vector<uint8_t>(8, 0), opts);
+    });
+  };
+  // The late node is attached to the testbed's medium: drop it while the
+  // testbed is still alive.
+  options.on_complete = [&late](Testbed&) { late.reset(); };
+  const RunResult result = FuzzOne(kTtlSeed, options);
+  ASSERT_EQ(result.report.violations.count("ttl-loop"), 1u) << result.report.ToString();
+  EXPECT_NE(result.report.violations.at("ttl-loop").detail.find("ip.late.drop_ttl"),
+            std::string::npos)
+      << result.report.ToString();
 }
 
 // A hand-built scenario with deliberately more events than the failure

@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -161,6 +164,108 @@ TEST(MetricsRegistryTest, ScalarSnapshotFiltersByPrefix) {
 
   // The map form diffs cleanly: an untouched registry segment diffs empty.
   EXPECT_TRUE(registry.ScalarSnapshot("tcp.").empty());
+}
+
+// Collects ForEachScalar's output in visit order.
+std::vector<std::pair<std::string, double>> VisitScalars(const MetricsRegistry& registry,
+                                                         std::string_view prefix) {
+  std::vector<std::pair<std::string, double>> out;
+  registry.ForEachScalar(prefix, [&out](const std::string& name, double value) {
+    out.emplace_back(name, value);
+  });
+  return out;
+}
+
+TEST(MetricsRegistryTest, ForEachScalarStaysInsideItsPrefix) {
+  MetricsRegistry registry;
+  registry.GetCounter("ip").Add(1);
+  registry.GetCounter("ip.b.drop_ttl").Add(2);
+  registry.GetCounter("ip.a.drop_ttl").Add(3);
+  registry.GetCounter("ipx.a").Add(4);
+  registry.GetCounter("ha.a").Add(5);
+  registry.GetCounter("iq.a").Add(6);
+
+  using Visited = std::vector<std::pair<std::string, double>>;
+  EXPECT_EQ(VisitScalars(registry, "ip."),
+            (Visited{{"ip.a.drop_ttl", 3.0}, {"ip.b.drop_ttl", 2.0}}));
+  EXPECT_EQ(VisitScalars(registry, "ip").size(), 4u);  // "ip", "ip.*", "ipx.a".
+  EXPECT_TRUE(VisitScalars(registry, "tcp.").empty());
+  EXPECT_TRUE(VisitScalars(registry, "zz").empty());  // Past the last name.
+  EXPECT_EQ(VisitScalars(registry, "").size(), registry.size());
+}
+
+TEST(MetricsRegistryTest, ForEachScalarReadsLiveEntries) {
+  MetricsRegistry registry;
+  registry.GetCounter("ip.mh.drop_ttl").Add(1);
+  registry.GetGauge("ip.mh.queue").Set(2.5);
+  Histogram& h = registry.GetHistogram("ip.mh.latency_ms");
+  h.Record(1.0);
+  h.Record(4.0);
+  h.Record(9.0);
+  registry.Remove("ip.mh.queue");
+
+  using Visited = std::vector<std::pair<std::string, double>>;
+  // The removed gauge is gone; the histogram yields its count.
+  EXPECT_EQ(VisitScalars(registry, "ip."),
+            (Visited{{"ip.mh.drop_ttl", 1.0}, {"ip.mh.latency_ms", 3.0}}));
+
+  // A metric registered after an earlier walk shows up in the next one.
+  registry.GetCounter("ip.late.drop_ttl").Add(7);
+  EXPECT_EQ(VisitScalars(registry, "ip.").front(),
+            (std::pair<std::string, double>{"ip.late.drop_ttl", 7.0}));
+}
+
+TEST(MetricsRegistryTest, ForEachScalarMatchesScalarSnapshot) {
+  MetricsRegistry registry;
+  registry.GetCounter("ip.mh.datagrams_sent").Add(9);
+  registry.GetCounter("ip.ha.datagrams_sent").Add(4);
+  registry.GetGauge("ha.bindings").Set(1);
+  registry.GetHistogram("mh.handoff_ms").Record(3.0);
+  registry.GetProbeGauge("ip.router.queue", [] { return 6.0; });
+  using Visited = std::vector<std::pair<std::string, double>>;
+  for (const std::string prefix : {"", "ip.", "ha.", "m", "tcp."}) {
+    const std::map<std::string, double> snapshot = registry.ScalarSnapshot(prefix);
+    EXPECT_EQ(Visited(snapshot.begin(), snapshot.end()), VisitScalars(registry, prefix))
+        << "prefix '" << prefix << "'";
+  }
+}
+
+TEST(MetricsRegistryTest, FindGaugeNeverCreates) {
+  MetricsRegistry registry;
+  Gauge& g = registry.GetGauge("ha.bindings");
+  registry.GetCounter("ha.requests_received");
+
+  EXPECT_EQ(registry.FindGauge("ha.bindings"), &g);
+  EXPECT_EQ(registry.FindGauge("ha.requests_received"), nullptr);  // Wrong type.
+  EXPECT_EQ(registry.FindGauge("ha.shard.0.bindings"), nullptr);   // Missing.
+  EXPECT_FALSE(registry.Contains("ha.shard.0.bindings"));
+  EXPECT_EQ(registry.size(), 2u);
+}
+
+TEST(MetricsRegistryTest, LookupsCountNameKeyedCallsOnly) {
+  MetricsRegistry registry;
+  EXPECT_EQ(registry.lookups(), 0u);
+  Counter& c = registry.GetCounter("ip.mh.drop_ttl");
+  registry.GetCounterRef("ip.mh.drop_no_route");
+  registry.GetGauge("ha.bindings");
+  registry.GetProbeGauge("dev.mh.eth0.queue_depth", [] { return 0.0; });
+  registry.GetHistogram("mh.handoff_ms");
+  EXPECT_EQ(registry.lookups(), 5u);
+
+  (void)registry.Contains("ha.bindings");
+  (void)registry.TypeOf("ha.bindings");
+  (void)registry.ReadValue("ha.bindings");
+  (void)registry.FindGauge("ha.bindings");
+  (void)registry.FindHistogram("mh.handoff_ms");
+  registry.Remove("dev.mh.eth0.queue_depth");
+  EXPECT_EQ(registry.lookups(), 11u);
+
+  // Recording through a kept reference and walking a prefix range are not
+  // name lookups.
+  c.Add(1);
+  VisitScalars(registry, "ip.");
+  (void)registry.Snapshot();
+  EXPECT_EQ(registry.lookups(), 11u);
 }
 
 // --- Histogram ----------------------------------------------------------------

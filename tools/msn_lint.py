@@ -126,6 +126,16 @@ FLAT_METRIC_SUBNAMESPACES = {
 }
 
 
+# One dot-path segment. A testbed medium's instance name keeps its subnet's
+# dots ("net-36.134" in "link.net-36.134.frames_carried"), so `net-<n>(.<n>)*`
+# reads as one segment; everything else splits on dots.
+METRIC_SEGMENT_RE = re.compile(r"net-\d+(?:\.\d+)*(?=\.|$)|[^.]+")
+
+
+def metric_segments(name: str) -> list[str]:
+    return METRIC_SEGMENT_RE.findall(name)
+
+
 def metric_numeric_segments_ok(name: str) -> bool:
     """True when every all-digit segment of `name` sits exactly at the index
     position of a registered indexed sub-namespace."""
@@ -133,8 +143,8 @@ def metric_numeric_segments_ok(name: str) -> bool:
         if name.startswith(prefix):
             index, _, noun = name[len(prefix):].partition(".")
             return (index.isdigit() and noun != "" and
-                    not any(seg.isdigit() for seg in noun.split(".")))
-    return not any(seg.isdigit() for seg in name.split("."))
+                    not any(seg.isdigit() for seg in metric_segments(noun)))
+    return not any(seg.isdigit() for seg in metric_segments(name))
 
 # A parameter position: `(` or `,` then an (optionally const) bare
 # EthernetFrame/Packet followed directly by a parameter name. References,

@@ -13,6 +13,7 @@ content (benches may add params/rows/summaries freely).
 
 import json
 import math
+import re
 import sys
 
 SCHEMA = "msn-bench-v1"
@@ -38,13 +39,26 @@ FLAT_METRIC_SUBNAMESPACES = {
 }
 
 
+# Mirror of METRIC_SEGMENT_RE in tools/msn_lint.py: a testbed medium's
+# instance name keeps its subnet's dots ("net-36.134" in
+# "link.net-36.134.frames_carried"), so `net-<n>(.<n>)*` reads as one
+# segment; everything else splits on dots.
+METRIC_SEGMENT_RE = re.compile(r"net-\d+(?:\.\d+)*(?=\.|$)|[^.]+")
+
+
+def metric_segments(name):
+    return METRIC_SEGMENT_RE.findall(name)
+
+
 def metric_numeric_segments_ok(name):
     for prefix in INDEXED_METRIC_SUBNAMESPACES:
         if name.startswith(prefix):
             index, _, noun = name[len(prefix):].partition(".")
             return (index.isdigit() and noun != "" and
-                    not any(seg.isdigit() for seg in noun.split(".")))
-    return not any(seg.isdigit() for seg in name.split("."))
+                    not any(seg.isdigit() for seg in metric_segments(noun)))
+    return not any(seg.isdigit() for seg in metric_segments(name))
+
+
 HISTOGRAM_FIELDS = ("count", "sum", "mean", "min", "max", "p50", "p95", "p99")
 SUMMARY_BASE_FIELDS = ("count", "mean", "stddev", "min", "max")
 
