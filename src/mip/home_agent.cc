@@ -88,6 +88,7 @@ HomeAgent::HomeAgent(Node& node, Config config)
 }
 
 HomeAgent::~HomeAgent() {
+  node_.sim().Cancel(expiry_timer_);
   node_.stack().ClearRouteLookupOverride();
   if (config_.home_device != nullptr) {
     for (Ipv4Address home : SortedBoundHomes()) {
@@ -788,14 +789,37 @@ void HomeAgent::RemoveBinding(Ipv4Address home_address, bool expired) {
 }
 
 void HomeAgent::ScheduleExpiry(Ipv4Address home_address, Time expires) {
-  node_.sim().ScheduleAt(expires, [this, home_address, expires] {
-    const Shard& shard = ShardOf(home_address);
-    auto it = shard.bindings.find(home_address);
-    if (it == shard.bindings.end() || it->second.expires > expires) {
-      return;  // Removed or refreshed meanwhile.
-    }
-    RemoveBinding(home_address, /*expired=*/true);
-  });
+  const uint64_t seq = node_.sim().ReserveSequence(1);
+  expiry_heap_.push_back(ExpiryEntry{expires, seq, home_address});
+  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), ExpiresAfter);
+  if (expiry_heap_.front().seq == seq) {
+    node_.sim().Cancel(expiry_timer_);
+    ArmExpiryTimer();
+  }
+}
+
+void HomeAgent::ArmExpiryTimer() {
+  const ExpiryEntry& next = expiry_heap_.front();
+  expiry_timer_ = node_.sim().ScheduleReserved(next.when, next.seq, [this] { OnExpiryTimer(); });
+}
+
+void HomeAgent::OnExpiryTimer() {
+  std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), ExpiresAfter);
+  const ExpiryEntry entry = expiry_heap_.back();
+  expiry_heap_.pop_back();
+  // Re-arm first: RemoveBinding's observer and replication sink may install
+  // bindings here, and ScheduleExpiry must find the timer on the heap's top;
+  // and a same-time check must already be pending for the inline dispatch's
+  // "nothing else pending now" test (DESIGN.md §18) while RemoveBinding runs.
+  if (!expiry_heap_.empty()) {
+    ArmExpiryTimer();
+  }
+  const Shard& shard = ShardOf(entry.home);
+  auto it = shard.bindings.find(entry.home);
+  if (it == shard.bindings.end() || it->second.expires > entry.when) {
+    return;  // Removed or refreshed meanwhile.
+  }
+  RemoveBinding(entry.home, /*expired=*/true);
 }
 
 void HomeAgent::SendReply(const RegistrationReply& reply, Ipv4Address dst, uint16_t port) {

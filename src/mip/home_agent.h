@@ -346,6 +346,17 @@ class HomeAgent {
     CounterRef batches;                  // "<prefix>shard.<i>.batches"
   };
 
+  // A pending expiry check; seq is a reserved event-queue sequence number.
+  struct ExpiryEntry {
+    Time when;
+    uint64_t seq;
+    Ipv4Address home;
+  };
+  // Expiry-heap comparator: true when `a` fires after `b`.
+  static bool ExpiresAfter(const ExpiryEntry& a, const ExpiryEntry& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  }
+
   [[nodiscard]] size_t ShardIndexOf(Ipv4Address home_address) const;
   Shard& ShardOf(Ipv4Address home_address);
   const Shard& ShardOf(Ipv4Address home_address) const;
@@ -365,7 +376,15 @@ class HomeAgent {
   void SendReply(const RegistrationReply& reply, Ipv4Address dst, uint16_t port);
   void InstallBinding(const RegistrationRequest& request, uint16_t granted_lifetime_sec);
   void RemoveBinding(Ipv4Address home_address, bool expired);
+  // Queues an expiry check for `home_address` at `expires` on the HA's
+  // expiry heap, at the (time, seq) position a separately scheduled event
+  // would have had, and re-arms the expiry timer if it is the new earliest.
   void ScheduleExpiry(Ipv4Address home_address, Time expires);
+  // Arms expiry_timer_ at the expiry heap's top entry.
+  void ArmExpiryTimer();
+  // Pops the top entry and expires its binding unless it was removed or
+  // refreshed meanwhile.
+  void OnExpiryTimer();
   void EncapsulateAndTunnel(const Ipv4Header& inner, const Packet& inner_wire);
   [[nodiscard]] std::optional<RouteDecision> RouteOverride(const RouteQuery& query);
   // Proxy/static/gratuitous ARP for one home address (serving side effects).
@@ -414,6 +433,12 @@ class HomeAgent {
   // to resynchronize identifications.
   std::set<Ipv4Address> resync_required_;
   RunningStats processing_stats_ms_;
+  // One entry per ScheduleExpiry call, min-ordered by (when, seq). Only the
+  // top entry has an event in the simulator (expiry_timer_), so each check
+  // still fires as its own event at its original position, but N bindings
+  // cost the main queue one pending event instead of N (DESIGN.md §17).
+  std::vector<ExpiryEntry> expiry_heap_;
+  EventId expiry_timer_;
 };
 
 }  // namespace msn

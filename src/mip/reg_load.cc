@@ -29,17 +29,29 @@ RegistrationLoadGenerator::RegistrationLoadGenerator(Node& node, Config config)
 }
 
 RegistrationLoadGenerator::~RegistrationLoadGenerator() {
+  node_.sim().Cancel(arrival_event_);
   for (Client& client : clients_) {
     node_.sim().Cancel(client.retransmit_event);
   }
 }
 
 void RegistrationLoadGenerator::Start() {
-  for (size_t i = 0; i < clients_.size(); ++i) {
-    const Duration at =
-        config_.start_delay + config_.interarrival * static_cast<int64_t>(i);
-    node_.sim().Schedule(at, [this, i] { SendRequest(i, /*is_retransmit=*/false); });
-  }
+  arrivals_start_ = node_.sim().Now() + config_.start_delay;
+  arrival_seq_ = node_.sim().ReserveSequence(clients_.size());
+  ScheduleArrival(0);
+}
+
+void RegistrationLoadGenerator::ScheduleArrival(size_t index) {
+  const Time at = arrivals_start_ + config_.interarrival * static_cast<int64_t>(index);
+  arrival_event_ = node_.sim().ScheduleReserved(at, arrival_seq_ + index, [this, index] {
+    // Next arrival first: while this send runs, the queue must hold every
+    // event the up-front schedule would have, or the inline dispatch's
+    // "nothing else pending now" test (DESIGN.md §18) could change its answer.
+    if (index + 1 < clients_.size()) {
+      ScheduleArrival(index + 1);
+    }
+    SendRequest(index, /*is_retransmit=*/false);
+  });
 }
 
 void RegistrationLoadGenerator::SendRequest(size_t index, bool is_retransmit) {

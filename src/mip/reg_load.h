@@ -73,7 +73,10 @@ class RegistrationLoadGenerator {
   RegistrationLoadGenerator(const RegistrationLoadGenerator&) = delete;
   RegistrationLoadGenerator& operator=(const RegistrationLoadGenerator&) = delete;
 
-  // Schedules every client's first send. Call once.
+  // Begins the arrivals: client i first sends at start_delay + i *
+  // interarrival from now. Only the next arrival is ever pending; its
+  // sequence numbers are reserved here so each fires exactly where a
+  // separately pre-scheduled send would have (DESIGN.md §17). Call once.
   void Start();
 
   const Stats& stats() const { return stats_; }
@@ -105,6 +108,8 @@ class RegistrationLoadGenerator {
     EventId retransmit_event;
   };
 
+  // Schedules client `index`'s first send at its reserved position.
+  void ScheduleArrival(size_t index);
   void SendRequest(size_t index, bool is_retransmit);
   void OnTimeout(size_t index);
   void OnDatagram(const std::vector<uint8_t>& data, const UdpSocket::Metadata& meta);
@@ -118,6 +123,11 @@ class RegistrationLoadGenerator {
   std::vector<double> completion_samples_ms_;
   Time first_send_time_;
   Time last_accept_time_;
+  // Arrival series: client i's first send fires at (arrivals_start_ + i *
+  // interarrival, arrival_seq_ + i); arrival_event_ is the one pending.
+  Time arrivals_start_;
+  uint64_t arrival_seq_ = 0;
+  EventId arrival_event_;
 };
 
 }  // namespace msn

@@ -7,7 +7,8 @@
 
 namespace msn {
 
-EventId EventQueue::Schedule(Time when, Callback cb) {
+EventId EventQueue::ScheduleReserved(Time when, uint64_t seq, Callback cb) {
+  MSN_ASSERT(seq < next_seq_) << "sequence number " << seq << " was never reserved";
   uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -18,7 +19,7 @@ EventId EventQueue::Schedule(Time when, Callback cb) {
   }
   const uint32_t gen = slots_[slot].gen;
   slots_[slot].cb = std::move(cb);
-  heap_.push_back(Item{when, next_seq_++, slot, gen});
+  heap_.push_back(Item{when, seq, slot, gen});
   std::push_heap(heap_.begin(), heap_.end(), After);
   ++lane_stats_.heap_scheduled;
   ++live_count_;

@@ -11,17 +11,24 @@
 // orphaned heap item is skipped lazily when it reaches the top.
 //
 // Ordering contract (relied on for bit-for-bit deterministic seeded runs):
-// events pop in (time, schedule order). The sequence number that breaks ties
-// is assigned in Schedule call order, exactly as in the original
-// priority_queue + unordered_map implementation, so pop order is identical.
-// Every event goes through the one heap, including one scheduled for the
-// timestamp currently being drained: its sequence number is larger than
-// that of every pending event at that time, so it fires after them with no
-// special case (DESIGN.md §18).
+// events pop in (time, sequence number). Schedule assigns the next sequence
+// number, so same-time events fire in Schedule call order, exactly as in the
+// original priority_queue + unordered_map implementation. Every event goes
+// through the one heap, including one scheduled for the timestamp currently
+// being drained: its sequence number is larger than that of every pending
+// event at that time, so it fires after them with no special case.
+//
+// A caller may claim sequence numbers ahead of time with ReserveSequence and
+// spend each later with ScheduleReserved. The event then sits at exactly the
+// (time, seq) position a Schedule call at reservation time would have given
+// it, so an owner can keep one pending event where it used to keep many
+// without moving any event's fire order. A reserved position must still lie
+// ahead of the event being run when it is scheduled (DESIGN.md §17, §18).
 #ifndef MSN_SRC_SIM_EVENT_QUEUE_H_
 #define MSN_SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -49,7 +56,20 @@ class EventQueue {
 
   // Enqueues `cb` to fire at `when`. Events scheduled for the same time fire
   // in insertion order.
-  EventId Schedule(Time when, Callback cb);
+  EventId Schedule(Time when, Callback cb) {
+    return ScheduleReserved(when, next_seq_++, std::move(cb));
+  }
+
+  // Claims the next `n` sequence numbers and returns the first; the block is
+  // [first, first + n). Each is spent at most once with ScheduleReserved.
+  uint64_t ReserveSequence(uint64_t n) {
+    const uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  // Enqueues `cb` at (when, seq), where `seq` came from ReserveSequence.
+  EventId ScheduleReserved(Time when, uint64_t seq, Callback cb);
 
   // Cancels a pending event. Returns true if the event was still pending.
   // The callback is destroyed now; its heap item is skipped when it surfaces.
@@ -71,7 +91,7 @@ class EventQueue {
   // Schedule count since construction, read by perfbench/msn_perfbench.cc.
   struct LaneStats {
     uint64_t lane_scheduled = 0;  // Always 0: no lane; kept for perfbench.
-    uint64_t heap_scheduled = 0;  // Every Schedule call.
+    uint64_t heap_scheduled = 0;  // Every Schedule and ScheduleReserved call.
   };
   const LaneStats& lane_stats() const { return lane_stats_; }
 

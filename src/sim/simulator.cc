@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/util/assert.h"
 #include "src/util/logging.h"
 
 namespace msn {
@@ -32,6 +33,11 @@ EventId Simulator::ScheduleAt(Time when, EventQueue::Callback cb) {
     when = now_;
   }
   return queue_.Schedule(when, std::move(cb));
+}
+
+EventId Simulator::ScheduleReserved(Time when, uint64_t seq, EventQueue::Callback cb) {
+  MSN_ASSERT(when >= now_) << "reserved event at " << when.ToString() << " is in the past";
+  return queue_.ScheduleReserved(when, seq, std::move(cb));
 }
 
 uint64_t Simulator::RunInternal(Time deadline) {

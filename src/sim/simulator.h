@@ -32,6 +32,14 @@ class Simulator {
   EventId ScheduleAt(Time when, EventQueue::Callback cb);
   bool Cancel(EventId id) { return queue_.Cancel(id); }
 
+  // Reserved sequence numbers (event_queue.h): ReserveSequence claims the
+  // tie-break positions `n` ScheduleAt calls made now would take, and
+  // ScheduleReserved later spends one at `when` (>= Now(), and not behind the
+  // running event). Lets an owner keep a single pending event for a series
+  // whose members must fire where separately scheduled events would have.
+  uint64_t ReserveSequence(uint64_t n) { return queue_.ReserveSequence(n); }
+  EventId ScheduleReserved(Time when, uint64_t seq, EventQueue::Callback cb);
+
   // Runs until the queue drains or Stop() is called. Returns the number of
   // events executed.
   uint64_t Run();
@@ -44,6 +52,7 @@ class Simulator {
   void Stop() { stopped_ = true; }
 
   bool HasPendingEvents() const { return !queue_.empty(); }
+  size_t pending_events() const { return queue_.size(); }
   uint64_t events_executed() const { return events_executed_; }
 
   // Earliest pending event's timestamp; Time::Max() when idle. The inline

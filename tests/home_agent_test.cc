@@ -1,8 +1,14 @@
 // Unit tests for the home agent: registration validation, binding lifecycle,
-// proxy ARP behaviour, lifetime expiry, replay rejection.
+// proxy ARP behaviour, lifetime expiry (and its one-timer expiry heap),
+// replay rejection, and owner teardown with events still pending.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/mip/home_agent.h"
+#include "src/mip/reg_load.h"
 #include "src/node/udp.h"
 #include "src/topo/testbed.h"
 #include "src/util/assert.h"
@@ -239,6 +245,250 @@ TEST_F(HomeAgentFixture, MalformedDatagramCountedNotAnswered) {
   EXPECT_EQ(replies_, 0);
   EXPECT_EQ(tb_->home_agent->counters().requests_received, 1u);
   EXPECT_EQ(tb_->home_agent->counters().registrations_denied, 1u);
+}
+
+// --- Expiry heap -------------------------------------------------------------------
+
+BindingMutation InstallMutation(Ipv4Address home, uint16_t lifetime_sec) {
+  BindingMutation m;
+  m.kind = BindingMutation::Kind::kInstall;
+  m.home_address = home;
+  m.care_of = Ipv4Address(36, 8, 0, 50);
+  m.lifetime_sec = lifetime_sec;
+  m.identification = 1;
+  return m;
+}
+
+TEST_F(HomeAgentFixture, ShorterLifetimeAfterLongerExpiresFirst) {
+  std::vector<std::pair<Ipv4Address, Time>> removals;
+  tb_->home_agent->SetBindingObserver(
+      [&](Ipv4Address home, Ipv4Address, Ipv4Address new_care_of) {
+        if (new_care_of.IsAny()) {
+          removals.emplace_back(home, tb_->sim.Now());
+        }
+      });
+  const Ipv4Address long_home = Testbed::HomeAddress();
+  const Ipv4Address short_home(36, 135, 0, 11);
+  SendRequest(MakeRequest(long_home, Ipv4Address(36, 8, 0, 50), 300, 1));
+  tb_->RunFor(Seconds(1));
+  SendRequest(MakeRequest(short_home, Ipv4Address(36, 8, 0, 51), 5, 1));
+  tb_->RunFor(Seconds(1));
+  const Time long_expires = tb_->home_agent->GetBinding(long_home)->expires;
+  const Time short_expires = tb_->home_agent->GetBinding(short_home)->expires;
+  ASSERT_LT(short_expires, long_expires);
+
+  // The later, shorter binding re-arms the one expiry timer earlier.
+  tb_->RunFor(Seconds(6));
+  ASSERT_EQ(removals.size(), 1u);
+  EXPECT_EQ(removals[0], std::make_pair(short_home, short_expires));
+  EXPECT_TRUE(tb_->home_agent->HasBinding(long_home));
+  EXPECT_EQ(tb_->home_agent->counters().bindings_expired, 1u);
+
+  tb_->RunFor(Seconds(300));
+  ASSERT_EQ(removals.size(), 2u);
+  EXPECT_EQ(removals[1], std::make_pair(long_home, long_expires));
+  EXPECT_EQ(tb_->home_agent->counters().bindings_expired, 2u);
+}
+
+TEST_F(HomeAgentFixture, RemoveAndReinstallAtSameInstantExpiresOnce) {
+  HomeAgent& ha = *tb_->home_agent;
+  std::vector<Time> removed_at;
+  ha.SetBindingObserver([&](Ipv4Address, Ipv4Address, Ipv4Address new_care_of) {
+    if (new_care_of.IsAny()) {
+      removed_at.push_back(tb_->sim.Now());
+    }
+  });
+  const Time t0 = tb_->sim.Now();
+  ha.ApplyMutation(InstallMutation(Testbed::HomeAddress(), 5));
+  BindingMutation remove;
+  remove.kind = BindingMutation::Kind::kRemove;
+  remove.home_address = Testbed::HomeAddress();
+  remove.identification = 1;
+  ha.ApplyMutation(remove);
+  ha.ApplyMutation(InstallMutation(Testbed::HomeAddress(), 5));
+
+  // Two checks are queued for t0 + 5 s; the first expires the reinstalled
+  // binding, the second finds it gone.
+  tb_->RunFor(Seconds(10));
+  EXPECT_EQ(removed_at, (std::vector<Time>{t0, t0 + Seconds(5)}));
+  EXPECT_FALSE(ha.HasBinding(Testbed::HomeAddress()));
+  EXPECT_EQ(ha.counters().bindings_expired, 1u);
+}
+
+TEST_F(HomeAgentFixture, MirroredAndAdoptedBindingsExpire) {
+  HomeAgent& ha = *tb_->home_agent;
+  std::vector<std::pair<Ipv4Address, Time>> removals;
+  ha.SetBindingObserver([&](Ipv4Address home, Ipv4Address, Ipv4Address new_care_of) {
+    if (new_care_of.IsAny()) {
+      removals.emplace_back(home, tb_->sim.Now());
+    }
+  });
+  const Time t0 = tb_->sim.Now();
+  const Ipv4Address adopted_short(36, 135, 0, 21);
+  const Ipv4Address adopted_long(36, 135, 0, 22);
+  const Ipv4Address mirrored(36, 135, 0, 23);
+  HaBindingState state;
+  for (const auto& [home, lifetime] : {std::pair{adopted_short, 3}, std::pair{adopted_long, 8}}) {
+    HaBindingState::Entry entry;
+    entry.home_address = home;
+    entry.care_of = Ipv4Address(36, 8, 0, 60);
+    entry.lifetime_sec = static_cast<uint16_t>(lifetime);
+    entry.identification = 4;
+    state.bindings.push_back(entry);
+  }
+  ha.AdoptState(state);
+  ha.ApplyMutation(InstallMutation(mirrored, 5));
+  ASSERT_EQ(ha.binding_count(), 3u);
+
+  tb_->RunFor(Seconds(10));
+  EXPECT_EQ(removals, (std::vector<std::pair<Ipv4Address, Time>>{
+                          {adopted_short, t0 + Seconds(3)},
+                          {mirrored, t0 + Seconds(5)},
+                          {adopted_long, t0 + Seconds(8)}}));
+  EXPECT_EQ(ha.binding_count(), 0u);
+  EXPECT_EQ(ha.counters().bindings_expired, 3u);
+}
+
+// A standby agent on a bare node: no ARP side effects and no other traffic,
+// so every pending event in the simulator belongs to the agent.
+struct StandaloneAgent {
+  StandaloneAgent() : node(sim, "ha") {
+    HomeAgent::Config config;
+    config.address = Ipv4Address(36, 135, 0, 1);
+    config.home_subnet = Subnet::MustParse("36.0.0.0/8");
+    config.initial_role = HaRole::kStandby;
+    config.num_shards = 16;
+    ha = std::make_unique<HomeAgent>(node, config);
+  }
+
+  Simulator sim{7};
+  Node node;
+  std::unique_ptr<HomeAgent> ha;
+};
+
+TEST(HomeAgentExpiryTest, HundredThousandBindingsKeepOneExpiryEvent) {
+  StandaloneAgent agent;
+  const size_t idle = agent.sim.pending_events();
+  constexpr uint32_t kBindings = 100000;
+  const uint32_t first = Ipv4Address(36, 100, 0, 0).value();
+  // Lifetimes run 66, 65, ..., 60 s and repeat: each of the first seven
+  // installs lands ahead of the heap's top and re-arms the timer earlier;
+  // the rest queue behind it.
+  for (uint32_t i = 0; i < kBindings; ++i) {
+    agent.ha->ApplyMutation(
+        InstallMutation(Ipv4Address(first + i), static_cast<uint16_t>(66 - i % 7)));
+  }
+  ASSERT_EQ(agent.ha->binding_count(), kBindings);
+  EXPECT_TRUE(agent.sim.HasPendingEvents());
+  EXPECT_EQ(agent.sim.pending_events(), idle + 1);
+
+  Time last;
+  uint32_t removed = 0;
+  agent.ha->SetBindingObserver([&](Ipv4Address, Ipv4Address, Ipv4Address new_care_of) {
+    if (new_care_of.IsAny()) {
+      EXPECT_GE(agent.sim.Now(), last);
+      last = agent.sim.Now();
+      ++removed;
+    }
+  });
+  agent.sim.RunFor(Seconds(61));
+  EXPECT_EQ(agent.sim.pending_events(), idle + 1);
+  agent.sim.RunFor(Seconds(10));
+  EXPECT_EQ(removed, kBindings);
+  EXPECT_EQ(agent.ha->binding_count(), 0u);
+  EXPECT_EQ(agent.ha->counters().bindings_expired, kBindings);
+  EXPECT_EQ(agent.sim.pending_events(), idle);
+  EXPECT_FALSE(agent.sim.HasPendingEvents());
+}
+
+// Destroying the agent mid-run cancels its expiry timer: nothing left in the
+// queue points at the dead agent, and the simulation carries on.
+TEST(HomeAgentExpiryTest, DestroyedAgentCancelsPendingExpiry) {
+  StandaloneAgent agent;
+  const size_t idle = agent.sim.pending_events();
+  for (uint32_t i = 0; i < 3; ++i) {
+    agent.ha->ApplyMutation(InstallMutation(Ipv4Address(36, 100, 0, 1 + i), 5));
+  }
+  ASSERT_EQ(agent.sim.pending_events(), idle + 1);
+  bool later_fired = false;
+  agent.sim.Schedule(Seconds(2), [&] { agent.ha.reset(); });
+  agent.sim.Schedule(Seconds(8), [&] { later_fired = true; });
+  agent.sim.Run();
+  EXPECT_EQ(agent.ha, nullptr);
+  EXPECT_TRUE(later_fired);
+  EXPECT_FALSE(agent.sim.HasPendingEvents());
+}
+
+// Two checks due at the same instant fire in install order, both ahead of an
+// event scheduled after the second install for that instant: each check sits
+// where its own ScheduleAt would have put it, not where the timer is re-armed.
+TEST_F(HomeAgentFixture, SameTimeExpiryChecksKeepScheduleOrder) {
+  HomeAgent& ha = *tb_->home_agent;
+  std::vector<std::string> order;
+  ha.SetBindingObserver([&](Ipv4Address home, Ipv4Address, Ipv4Address new_care_of) {
+    if (new_care_of.IsAny()) {
+      order.push_back(home.ToString());
+    }
+  });
+  const Ipv4Address first(36, 135, 0, 31);
+  const Ipv4Address second(36, 135, 0, 32);
+  ha.ApplyMutation(InstallMutation(first, 5));
+  ha.ApplyMutation(InstallMutation(second, 5));
+  tb_->sim.Schedule(Seconds(5), [&] { order.push_back("later"); });
+  tb_->RunFor(Seconds(6));
+  EXPECT_EQ(order, (std::vector<std::string>{first.ToString(), second.ToString(), "later"}));
+}
+
+// A registrant fleet on the visited wired net sending to the testbed's HA.
+struct Fleet {
+  Fleet(Testbed& tb, uint32_t count, Duration interarrival)
+      : node(std::make_unique<Node>(tb.sim, "fleet")) {
+    EthernetDevice* dev = node->AddEthernet("eth0", tb.net8.get());
+    dev->ForceUp();
+    node->ConfigureInterface(dev, "36.8.7.250/16");
+    node->AddDefaultRoute(Testbed::RouterOn8(), dev);
+    RegistrationLoadGenerator::Config lc;
+    lc.home_agent = tb.home_agent_address();
+    lc.first_home = Ipv4Address(36, 135, 7, 1);
+    lc.count = count;
+    lc.first_care_of = Ipv4Address(36, 8, 7, 1);
+    lc.start_delay = Seconds(1);
+    lc.interarrival = interarrival;
+    load = std::make_unique<RegistrationLoadGenerator>(*node, lc);
+    load->Start();
+  }
+
+  std::unique_ptr<Node> node;
+  std::unique_ptr<RegistrationLoadGenerator> load;
+};
+
+// Arrival 1 is scheduled only when arrival 0 fires, yet still runs ahead of
+// an event scheduled after Start for the same instant.
+TEST_F(HomeAgentFixture, LoadGeneratorArrivalsKeepScheduleOrder) {
+  Fleet fleet(*tb_, 2, Milliseconds(10));
+  uint64_t sent_seen = 0;
+  tb_->sim.Schedule(Milliseconds(1010), [&] { sent_seen = fleet.load->stats().sent; });
+  tb_->RunFor(Seconds(2));
+  EXPECT_EQ(sent_seen, 2u);
+  EXPECT_EQ(fleet.load->completed(), 2u);
+}
+
+// Destroying a load generator mid-run cancels its one pending arrival (and
+// any retransmit timers): no further client sends, and the run continues.
+TEST_F(HomeAgentFixture, LoadGeneratorDestroyedMidRunCancelsPendingArrival) {
+  Fleet fleet(*tb_, 200, Milliseconds(10));
+  std::unique_ptr<RegistrationLoadGenerator>& load = fleet.load;
+
+  uint64_t sent_before_teardown = 0;
+  tb_->sim.Schedule(Milliseconds(1500), [&] {
+    sent_before_teardown = load->stats().sent;
+    load.reset();
+  });
+  tb_->RunFor(Seconds(10));
+  EXPECT_EQ(load, nullptr);
+  EXPECT_GT(sent_before_teardown, 0u);
+  EXPECT_LT(sent_before_teardown, 200u);
+  EXPECT_EQ(tb_->home_agent->counters().requests_received, sent_before_teardown);
 }
 
 }  // namespace

@@ -164,10 +164,41 @@ TEST(EventQueueTest, NextTimeSkipsCancelledSameTimeHead) {
   }
 }
 
+// A reserved sequence number places an event exactly where a Schedule call at
+// reservation time would have: after same-time events scheduled before the
+// reservation, before those scheduled after it, whenever it is spent.
+TEST(EventQueueTest, ReservedSequenceFiresWhereScheduleWouldHave) {
+  EventQueue q;
+  std::vector<int> order;
+  const Time t = Time::FromNanos(10);
+  q.Schedule(t, [&] { order.push_back(0); });
+  const uint64_t first = q.ReserveSequence(2);
+  q.Schedule(t, [&] { order.push_back(3); });
+  // Spent out of order and after later schedules: position is fixed by seq.
+  q.ScheduleReserved(t, first + 1, [&] { order.push_back(2); });
+  q.Schedule(t, [&] {
+    order.push_back(4);
+    // Spent while t is draining: (t, later reservation) still follows every
+    // event scheduled before that reservation.
+    const uint64_t late = q.ReserveSequence(1);
+    q.Schedule(t, [&] { order.push_back(6); });
+    q.ScheduleReserved(t, late, [&] { order.push_back(5); });
+  });
+  q.ScheduleReserved(t, first, [&] { order.push_back(1); });
+  EXPECT_EQ(q.size(), 5u);
+  while (!q.empty()) {
+    q.PopNext().cb();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  // Reservation never schedules anything; every spent number counts once.
+  EXPECT_EQ(q.lane_stats().heap_scheduled, 7u);
+}
+
 // Burst-stress: drive the queue and a naive reference queue with an identical
 // random schedule/cancel/burst workload and require identical fire orders.
 // Callbacks re-schedule at the draining timestamp (same-time bursts) and at
-// future times, and cancel random pending events.
+// future times, reserve sequence numbers and spend them in later callbacks,
+// and cancel random pending events.
 TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
   for (const uint64_t seed : {1ull, 7ull, 1996ull}) {
     // Reference: (when, seq) pairs popped by scanning for the minimum.
@@ -179,63 +210,87 @@ TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
     };
     std::vector<RefEvent> ref;
     uint64_t ref_seq = 0;
+    // Reserved but not yet spent: (queue seq, reference seq).
+    std::vector<std::pair<uint64_t, uint64_t>> reserved;
+    int spent_reserved = 0;
 
     EventQueue q;
     Rng rng(seed);
     std::vector<std::pair<EventId, size_t>> cancellable;  // (id, ref index)
     std::vector<int> fired;
     std::vector<int> ref_fired;
-    int64_t now = 0;
     int next_tag = 0;
 
-    std::function<void(int64_t, int)> fire = [&](int64_t when, int tag) {
+    std::function<void(int64_t, uint64_t, int)> fire = [&](int64_t when, uint64_t seq, int tag) {
       fired.push_back(tag);
-      // A third of callbacks spawn same-time work (bursts), a third spawn
-      // future work, a sixth cancel something pending. The spawn budget keeps
-      // the branching cascade finite.
+      // Callbacks spawn same-time work (bursts) or future work, cancel
+      // something pending, reserve sequence numbers, or spend one. The spawn
+      // budget keeps the branching cascade finite.
       const double roll = rng.UniformDouble();
       if (next_tag >= 2000) {
         return;
       }
-      if (roll < 0.33) {
+      if (roll < 0.28) {
         const int spawn = static_cast<int>(rng.UniformInt(uint64_t{1}, uint64_t{3}));
         for (int i = 0; i < spawn; ++i) {
           const int tag2 = next_tag++;
-          q.Schedule(Time::FromNanos(when), [&fire, when, tag2] { fire(when, tag2); });
-          ref.push_back(RefEvent{when, ref_seq++, tag2});
+          const uint64_t seq2 = ref_seq++;
+          q.Schedule(Time::FromNanos(when), [&fire, when, seq2, tag2] { fire(when, seq2, tag2); });
+          ref.push_back(RefEvent{when, seq2, tag2});
         }
-      } else if (roll < 0.66) {
+      } else if (roll < 0.56) {
         const int64_t later = when + static_cast<int64_t>(rng.UniformInt(uint64_t{1}, uint64_t{50}));
         const int tag2 = next_tag++;
-        q.Schedule(Time::FromNanos(later), [&fire, later, tag2] { fire(later, tag2); });
-        ref.push_back(RefEvent{later, ref_seq++, tag2});
-      } else if (roll < 0.83 && !cancellable.empty()) {
+        const uint64_t seq2 = ref_seq++;
+        q.Schedule(Time::FromNanos(later), [&fire, later, seq2, tag2] { fire(later, seq2, tag2); });
+        ref.push_back(RefEvent{later, seq2, tag2});
+      } else if (roll < 0.70 && !cancellable.empty()) {
         const size_t pick = rng.UniformInt(0ull, cancellable.size() - 1);
         auto [id, ref_idx] = cancellable[pick];
         cancellable.erase(cancellable.begin() + static_cast<ptrdiff_t>(pick));
         if (q.Cancel(id)) {
           ref[ref_idx].live = false;
         }
+      } else if (roll < 0.80) {
+        const uint64_t n = rng.UniformInt(uint64_t{1}, uint64_t{3});
+        const uint64_t first = q.ReserveSequence(n);
+        for (uint64_t i = 0; i < n; ++i) {
+          reserved.emplace_back(first + i, ref_seq++);
+        }
+      } else if (roll < 0.92 && !reserved.empty()) {
+        const size_t pick = rng.UniformInt(0ull, reserved.size() - 1);
+        const auto [q_seq, seq2] = reserved[pick];
+        reserved.erase(reserved.begin() + static_cast<ptrdiff_t>(pick));
+        // Any time from now on, as long as (time, seq) is not behind the
+        // running event.
+        int64_t later = when + static_cast<int64_t>(rng.UniformInt(uint64_t{0}, uint64_t{50}));
+        if (later == when && seq2 < seq) {
+          later = when + 1;
+        }
+        const int tag2 = next_tag++;
+        EventId id = q.ScheduleReserved(Time::FromNanos(later), q_seq,
+                                        [&fire, later, seq2, tag2] { fire(later, seq2, tag2); });
+        ref.push_back(RefEvent{later, seq2, tag2});
+        cancellable.emplace_back(id, ref.size() - 1);
+        ++spent_reserved;
       }
     };
 
     for (int i = 0; i < 40; ++i) {
       const int64_t when = static_cast<int64_t>(rng.UniformInt(uint64_t{0}, uint64_t{100}));
       const int tag = next_tag++;
+      const uint64_t seq = ref_seq++;
       EventId id =
-          q.Schedule(Time::FromNanos(when), [&fire, when, tag] { fire(when, tag); });
-      ref.push_back(RefEvent{when, ref_seq++, tag});
+          q.Schedule(Time::FromNanos(when), [&fire, when, seq, tag] { fire(when, seq, tag); });
+      ref.push_back(RefEvent{when, seq, tag});
       cancellable.emplace_back(id, ref.size() - 1);
     }
 
     int guard = 0;
     while (!q.empty() && guard++ < 10000) {
-      EventQueue::Entry e = q.PopNext();
-      now = e.when.nanos();
-      e.cb();
+      q.PopNext().cb();
     }
     ASSERT_LT(guard, 10000) << "runaway event cascade, seed " << seed;
-    (void)now;
 
     // Drain the reference the slow, obviously-correct way.
     while (true) {
@@ -257,7 +312,9 @@ TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
     }
 
     EXPECT_EQ(fired, ref_fired) << "fire order diverged from reference, seed " << seed;
-    // Every Schedule goes through the heap; perfbench reads this split.
+    EXPECT_GT(spent_reserved, 0) << "seed " << seed;
+    // Every Schedule and ScheduleReserved goes through the heap; perfbench
+    // reads this split.
     EXPECT_EQ(q.lane_stats().lane_scheduled, 0u) << "seed " << seed;
     EXPECT_EQ(q.lane_stats().heap_scheduled, ref.size()) << "seed " << seed;
   }
