@@ -70,7 +70,8 @@ Duration NetDevice::SerializationDelay(size_t wire_bytes) const {
   return SecondsF(seconds);
 }
 
-bool NetDevice::Transmit(const EthernetFrame& frame) {
+// msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+bool NetDevice::Transmit(EthernetFrame frame) {
   if (state_ != State::kUp) {
     ++counters_.dropped_down;
     return false;
@@ -79,7 +80,7 @@ bool NetDevice::Transmit(const EthernetFrame& frame) {
     ++counters_.dropped_queue;
     return false;
   }
-  queue_.push_back(frame);
+  queue_.push_back(std::move(frame));
   UpdateQueueDepthGauge();
   if (!transmitting_) {
     StartNextTransmission();

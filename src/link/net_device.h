@@ -77,8 +77,12 @@ class NetDevice {
   void set_bring_up_jitter(double j) { bring_up_jitter_ = j; }
 
   // Queues a frame for transmission. Returns false (and counts a drop) if the
-  // device is down or the queue is full.
-  virtual bool Transmit(const EthernetFrame& frame);
+  // device is down or the queue is full. Takes the frame by value: callers
+  // that are done with it move it in, so the payload reaches the queue (or
+  // the VIF's encapsulation) without an extra reference that would make a
+  // later Prepend or TTL patch copy.
+  // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+  virtual bool Transmit(EthernetFrame frame);
 
   // Nominal link bandwidth used for serialization delay.
   virtual uint64_t bandwidth_bps() const = 0;

@@ -15,9 +15,10 @@ ForeignAgent::ForeignAgent(Node& node, Config config) : node_(node), config_(con
       });
 
   tunnel_ = std::make_unique<IpIpTunnelEndpoint>(node_.stack());
-  tunnel_->SetInspector([this](const Ipv4Header& outer, const Ipv4Datagram& inner) {
-    return OnTunnelPacket(outer, inner);
-  });
+  tunnel_->SetInspector(
+      [this](const Ipv4Header& outer, const Ipv4Header& inner, const Packet& inner_wire) {
+        return OnTunnelPacket(outer, inner, inner_wire);
+      });
 
   advertiser_ = std::make_unique<PeriodicTask>(node_.sim(), kAdvertisementInterval,
                                                [this] { SendAdvertisement(); });
@@ -172,18 +173,27 @@ void ForeignAgent::DeliverToVisitor(const Visitor& visitor, const Ipv4Datagram& 
   frame.src = config_.device->mac();
   frame.ethertype = EtherType::kIpv4;
   frame.payload = dg.Serialize();
-  config_.device->Transmit(frame);
+  config_.device->Transmit(std::move(frame));
 }
 
-bool ForeignAgent::OnTunnelPacket(const Ipv4Header& outer, const Ipv4Datagram& inner) {
+bool ForeignAgent::OnTunnelPacket(const Ipv4Header& outer, const Ipv4Header& inner,
+                                  const Packet& inner_wire) {
   (void)outer;
-  auto visitor = visitors_.find(inner.header.dst);
+  // The inner wire image is a view of the tunnel packet; every path that
+  // keeps or re-sends the datagram takes its own copy here.
+  const auto owned = [&inner, &inner_wire] {
+    Ipv4Datagram dg;
+    dg.header = inner;
+    dg.payload.assign(inner_wire.begin() + Ipv4Header::kSize, inner_wire.end());
+    return dg;
+  };
+  auto visitor = visitors_.find(inner.dst);
   if (visitor != visitors_.end()) {
     ++counters_.packets_delivered;
-    DeliverToVisitor(visitor->second, inner);
+    DeliverToVisitor(visitor->second, owned());
     return false;  // Handled; do not re-inject.
   }
-  auto forward = forwards_.find(inner.header.dst);
+  auto forward = forwards_.find(inner.dst);
   if (forward != forwards_.end()) {
     if (forward->second.expires < node_.sim().Now()) {
       counters_.packets_buffer_dropped += forward->second.buffered.size();
@@ -192,7 +202,7 @@ bool ForeignAgent::OnTunnelPacket(const Ipv4Header& outer, const Ipv4Datagram& i
       // Departing visitor whose new location is still unknown: buffer.
       if (forward->second.buffered.size() < kMaxBufferedPackets) {
         ++counters_.packets_buffered;
-        forward->second.buffered.push_back(inner);
+        forward->second.buffered.push_back(owned());
       } else {
         ++counters_.packets_buffer_dropped;
       }
@@ -203,7 +213,7 @@ bool ForeignAgent::OnTunnelPacket(const Ipv4Header& outer, const Ipv4Datagram& i
       // host's new care-of address").
       ++counters_.packets_forwarded_after_departure;
       const Ipv4Datagram retunneled =
-          EncapsulateIpIp(inner, config_.address, forward->second.new_care_of);
+          EncapsulateIpIp(owned(), config_.address, forward->second.new_care_of);
       node_.stack().SendPreformedDatagram(retunneled, /*forwarding=*/false);
       return false;
     }

@@ -89,7 +89,8 @@ class ForeignAgent {
   void RelayRequest(const RegistrationRequest& request, const UdpSocket::Metadata& meta);
   void RelayReply(const RegistrationReply& reply);
   void HandleBindingUpdate(const BindingUpdate& update);
-  bool OnTunnelPacket(const Ipv4Header& outer, const Ipv4Datagram& inner);
+  bool OnTunnelPacket(const Ipv4Header& outer, const Ipv4Header& inner,
+                      const Packet& inner_wire);
   void SendAdvertisement();
   void DeliverToVisitor(const Visitor& visitor, const Ipv4Datagram& dg);
 

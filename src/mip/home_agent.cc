@@ -61,17 +61,16 @@ HomeAgent::HomeAgent(Node& node, Config config)
   // Encapsulating virtual interface (paper §3.4: the HA shares the MH's need
   // for a VIF).
   auto vif = std::make_unique<VirtualInterface>(node_.sim(), "ha-vif");
-  vif->SetEncapHandler([this](const Ipv4Header& inner, const Packet& wire) {
-    EncapsulateAndTunnel(inner, wire);
+  // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+  vif->SetEncapHandler([this](const Ipv4Header& inner, Packet wire) {
+    EncapsulateAndTunnel(inner, std::move(wire));
   });
   vif_ = static_cast<VirtualInterface*>(node_.AdoptDevice(std::move(vif)));
 
   // Reverse-tunnel decapsulation; inner packets are re-injected and forwarded
   // to the correspondent hosts (the node must have forwarding enabled).
   tunnel_ = std::make_unique<IpIpTunnelEndpoint>(node_.stack());
-  tunnel_->SetInspector([this](const Ipv4Header& outer, const Ipv4Datagram& inner) {
-    (void)outer;
-    (void)inner;
+  tunnel_->SetInspector([this](const Ipv4Header&, const Ipv4Header&, const Packet&) {
     if (crashed_) {
       ++counters_.tunnel_drops_crashed;
       return false;
@@ -250,7 +249,8 @@ std::optional<RouteDecision> HomeAgent::RouteOverride(const RouteQuery& query) {
   return decision;
 }
 
-void HomeAgent::EncapsulateAndTunnel(const Ipv4Header& inner, const Packet& inner_wire) {
+// msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+void HomeAgent::EncapsulateAndTunnel(const Ipv4Header& inner, Packet inner_wire) {
   Shard& shard = ShardOf(inner.dst);
   auto it = shard.bindings.find(inner.dst);
   if (it == shard.bindings.end()) {
@@ -264,7 +264,8 @@ void HomeAgent::EncapsulateAndTunnel(const Ipv4Header& inner, const Packet& inne
   ++counters_.packets_tunneled;
   ++tunneled_by_epoch_[epoch_];
   Ipv4Header outer;
-  Packet wire = EncapsulateIpIpPacket(outer, inner_wire, config_.address, it->second.care_of);
+  Packet wire =
+      EncapsulateIpIpPacket(outer, std::move(inner_wire), config_.address, it->second.care_of);
   MSN_TRACE("mip-ha", "%s: tunneling %s -> careof %s", node_.name().c_str(),
             inner.ToString().c_str(), it->second.care_of.ToString().c_str());
   node_.stack().SendPreformedPacket(outer, std::move(wire), /*forwarding=*/false);

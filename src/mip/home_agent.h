@@ -385,7 +385,8 @@ class HomeAgent {
   // Pops the top entry and expires its binding unless it was removed or
   // refreshed meanwhile.
   void OnExpiryTimer();
-  void EncapsulateAndTunnel(const Ipv4Header& inner, const Packet& inner_wire);
+  // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+  void EncapsulateAndTunnel(const Ipv4Header& inner, Packet inner_wire);
   [[nodiscard]] std::optional<RouteDecision> RouteOverride(const RouteQuery& query);
   // Proxy/static/gratuitous ARP for one home address (serving side effects).
   void InstallServingArpState(Ipv4Address home_address);

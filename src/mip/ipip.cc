@@ -1,5 +1,7 @@
 #include "src/mip/ipip.h"
 
+#include <utility>
+
 #include "src/util/assert.h"
 #include "src/util/logging.h"
 
@@ -44,16 +46,20 @@ std::optional<Ipv4Datagram> DecapsulateIpIp(std::span<const uint8_t> outer_paylo
 
 IpIpTunnelEndpoint::IpIpTunnelEndpoint(IpStack& stack) : stack_(stack) {
   stack_.RegisterProtocolHandler(
-      IpProto::kIpIp, [this](const Ipv4Header& header, const Packet& payload,
-                             NetDevice* ingress) { OnIpIp(header, payload, ingress); });
+      // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+      IpProto::kIpIp, [this](const Ipv4Header& header, Packet payload, NetDevice* ingress) {
+        OnIpIp(header, std::move(payload), ingress);
+      });
 }
 
 IpIpTunnelEndpoint::~IpIpTunnelEndpoint() { stack_.UnregisterProtocolHandler(IpProto::kIpIp); }
 
-void IpIpTunnelEndpoint::OnIpIp(const Ipv4Header& header, const Packet& payload,
-                                NetDevice* ingress) {
-  // Parse the inner header in place; the inner wire image is a slice of the
-  // outer payload, so decapsulation strips the outer header without copying.
+// msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+void IpIpTunnelEndpoint::OnIpIp(const Ipv4Header& header, Packet payload, NetDevice* ingress) {
+  // Parse the inner header in place; the inner wire image is the outer
+  // payload trimmed to the inner datagram, so decapsulation strips the outer
+  // header without copying, and the endpoint, holding the only reference,
+  // hands it on for the forward path's TTL patch to edit in place.
   ByteReader r(payload.data(), payload.size());
   auto inner_header = Ipv4Header::Parse(r);
   if (!inner_header || inner_header->total_length < Ipv4Header::kSize ||
@@ -69,16 +75,9 @@ void IpIpTunnelEndpoint::OnIpIp(const Ipv4Header& header, const Packet& payload,
              stack_.node_name().c_str(), kMaxDecapDepth);
     return;
   }
-  if (inspector_) {
-    // Inspectors (agent policy hooks) want an owned datagram they can buffer
-    // or re-tunnel; materialize one only when a hook is installed.
-    Ipv4Datagram inner;
-    inner.header = *inner_header;
-    inner.payload.assign(payload.begin() + Ipv4Header::kSize,
-                         payload.begin() + inner_header->total_length);
-    if (!inspector_(header, inner)) {
-      return;
-    }
+  payload.TrimTo(inner_header->total_length);
+  if (inspector_ && !inspector_(header, *inner_header, payload)) {
+    return;
   }
   ++packets_decapsulated_;
   MSN_TRACE("ipip", "%s: decapsulated %s", stack_.node_name().c_str(),
@@ -88,8 +87,7 @@ void IpIpTunnelEndpoint::OnIpIp(const Ipv4Header& header, const Packet& payload,
   // re-applied to it.
   (void)ingress;
   ++decap_depth_;
-  stack_.InjectReceivedPacket(*inner_header, payload.Slice(0, inner_header->total_length),
-                              nullptr);
+  stack_.InjectReceivedPacket(*inner_header, std::move(payload), nullptr);
   --decap_depth_;
   MSN_ASSERT(decap_depth_ >= 0);
 }

@@ -40,11 +40,15 @@ namespace msn {
 // Registers as the protocol-4 handler on a stack. Each received tunnel packet
 // is decapsulated and the inner datagram re-injected into the stack's receive
 // path (delivered locally on a mobile host; forwarded onward on a home
-// agent). An optional inspector sees (outer header, inner datagram) first and
-// may veto re-injection by returning false.
+// agent). An optional inspector sees (outer header, inner header, inner wire
+// image) first and may veto re-injection by returning false. The inner wire
+// image is the outer payload trimmed to the inner datagram: it shares the
+// received packet's storage, so inspecting it copies nothing. An inspector
+// that keeps the bytes past the call builds its own copy.
 class IpIpTunnelEndpoint {
  public:
-  using Inspector = std::function<bool(const Ipv4Header& outer, const Ipv4Datagram& inner)>;
+  using Inspector = std::function<bool(const Ipv4Header& outer, const Ipv4Header& inner,
+                                       const Packet& inner_wire)>;
 
   explicit IpIpTunnelEndpoint(IpStack& stack);
   ~IpIpTunnelEndpoint();
@@ -58,7 +62,8 @@ class IpIpTunnelEndpoint {
   uint64_t decapsulation_errors() const { return decapsulation_errors_; }
 
  private:
-  void OnIpIp(const Ipv4Header& header, const Packet& payload, NetDevice* ingress);
+  // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+  void OnIpIp(const Ipv4Header& header, Packet payload, NetDevice* ingress);
 
   IpStack& stack_;
   Inspector inspector_;

@@ -241,7 +241,8 @@ class MobileHost {
   };
 
   [[nodiscard]] std::optional<RouteDecision> RouteOverride(const RouteQuery& query);
-  void EncapsulateOut(const Ipv4Header& inner, const Packet& inner_wire);
+  // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+  void EncapsulateOut(const Ipv4Header& inner, Packet inner_wire);
 
   // Shared attach pipeline (steps time-stamped into timeline_).
   void BeginAttach(const Attachment& attachment, bool skip_interface_config,

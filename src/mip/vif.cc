@@ -1,5 +1,7 @@
 #include "src/mip/vif.h"
 
+#include <utility>
+
 namespace msn {
 
 VirtualInterface::VirtualInterface(Simulator& sim, std::string name)
@@ -9,7 +11,8 @@ VirtualInterface::VirtualInterface(Simulator& sim, std::string name)
   ForceUp();
 }
 
-bool VirtualInterface::Transmit(const EthernetFrame& frame) {
+// msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+bool VirtualInterface::Transmit(EthernetFrame frame) {
   if (frame.ethertype != EtherType::kIpv4 || !encap_handler_) {
     return false;
   }
@@ -20,7 +23,9 @@ bool VirtualInterface::Transmit(const EthernetFrame& frame) {
     return false;
   }
   ++packets_encapsulated_;
-  encap_handler_(*header, frame.payload.Slice(0, header->total_length));
+  Packet inner_wire = std::move(frame.payload);
+  inner_wire.TrimTo(header->total_length);
+  encap_handler_(*header, std::move(inner_wire));
   return true;
 }
 

@@ -1,26 +1,68 @@
 #include "src/net/checksum.h"
 
+#include <bit>
+#include <cstring>
+
 namespace msn {
 
+namespace {
+
+// End-around-carry fold of a wide one's-complement sum to 16 bits. Because
+// 2^16 == 1 (mod 0xffff), the folded value is congruent to the input, and it
+// is zero only when the input is.
+uint16_t FoldTo16(uint64_t sum) {
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(sum);
+}
+
+uint16_t ByteSwap16(uint16_t v) { return static_cast<uint16_t>((v >> 8) | (v << 8)); }
+
+}  // namespace
+
 void InternetChecksum::Add(const uint8_t* data, size_t len) {
-  size_t i = 0;
-  if (odd_ && len > 0) {
+  if (len == 0) {
+    return;
+  }
+  if (odd_) {
     sum_ += (static_cast<uint16_t>(pending_) << 8) | data[0];
     odd_ = false;
-    i = 1;
+    ++data;
+    --len;
   }
-  for (; i + 1 < len; i += 2) {
-    sum_ += (static_cast<uint16_t>(data[i]) << 8) | data[i + 1];
+  // RFC 1071 §2(B)/§4: sum native-order 32-bit words into a 64-bit
+  // accumulator (2^32 words before it could overflow), fold, and swap the
+  // bytes once on a little-endian host. The folded native sum is the
+  // byte-swapped big-endian word sum, so `sum_` gets exactly what summing
+  // one big-endian 16-bit word at a time would have given, mod 0xffff, and
+  // is zero exactly when every byte is.
+  uint64_t acc = 0;
+  for (; len >= 4; data += 4, len -= 4) {
+    uint32_t word;
+    std::memcpy(&word, data, 4);
+    acc += word;
   }
-  if (i < len) {
-    pending_ = data[i];
+  if (len >= 2) {
+    uint16_t half;
+    std::memcpy(&half, data, 2);
+    acc += half;
+    data += 2;
+    len -= 2;
+  }
+  const uint16_t folded = FoldTo16(acc);
+  sum_ += std::endian::native == std::endian::little ? ByteSwap16(folded) : folded;
+  if (len == 1) {
+    pending_ = data[0];
     odd_ = true;
   }
 }
 
 void InternetChecksum::AddU16(uint16_t v) {
-  uint8_t b[2] = {static_cast<uint8_t>(v >> 8), static_cast<uint8_t>(v & 0xff)};
-  Add(b, 2);
+  // With an odd byte pending, the word straddles it: its high byte pairs
+  // with the pending byte and its low byte becomes the pending one, which
+  // sums to the same as keeping the pending byte and adding `v` swapped.
+  sum_ += odd_ ? ByteSwap16(v) : v;
 }
 
 void InternetChecksum::AddU32(uint32_t v) {
@@ -33,10 +75,7 @@ uint16_t InternetChecksum::Fold() const {
   if (odd_) {
     sum += static_cast<uint16_t>(pending_) << 8;
   }
-  while (sum >> 16) {
-    sum = (sum & 0xffff) + (sum >> 16);
-  }
-  return static_cast<uint16_t>(~sum & 0xffff);
+  return static_cast<uint16_t>(~FoldTo16(sum) & 0xffff);
 }
 
 uint16_t ComputeInternetChecksum(const uint8_t* data, size_t len) {
@@ -58,10 +97,7 @@ uint16_t IncrementalChecksumUpdate(uint16_t old_checksum, uint16_t old_word, uin
   uint32_t sum = static_cast<uint16_t>(~old_checksum);
   sum += static_cast<uint16_t>(~old_word);
   sum += new_word;
-  while (sum >> 16) {
-    sum = (sum & 0xffff) + (sum >> 16);
-  }
-  return static_cast<uint16_t>(~sum & 0xffff);
+  return static_cast<uint16_t>(~FoldTo16(sum) & 0xffff);
 }
 
 }  // namespace msn

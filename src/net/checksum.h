@@ -10,7 +10,9 @@
 namespace msn {
 
 // Accumulates the checksum over several byte ranges (e.g. pseudo-header then
-// payload). Fold() produces the final complemented 16-bit checksum.
+// payload). Fold() produces the final complemented 16-bit checksum. Add sums
+// 32 bits at a time; the result is exactly that of summing big-endian 16-bit
+// words, including an odd byte carried across calls (DESIGN.md §12).
 class InternetChecksum {
  public:
   void Add(const uint8_t* data, size_t len);

@@ -89,39 +89,33 @@ std::optional<Ipv4Header> Ipv4Header::Parse(ByteReader& r) {
   if (r.remaining() < kSize) {
     return std::nullopt;
   }
-  Ipv4Header h;
-  const uint8_t ver_ihl = r.ReadU8();
-  if ((ver_ihl >> 4) != 4 || (ver_ihl & 0x0f) != 5) {
+  const uint8_t* b = r.ReadSpan(kSize).data();
+  if ((b[0] >> 4) != 4 || (b[0] & 0x0f) != 5) {
     return std::nullopt;
   }
-  h.tos = r.ReadU8();
-  h.total_length = r.ReadU16();
-  h.identification = r.ReadU16();
-  const uint16_t flags_frag = r.ReadU16();
+  const auto u16 = [b](size_t i) {
+    return static_cast<uint16_t>((static_cast<uint16_t>(b[i]) << 8) | b[i + 1]);
+  };
+  Ipv4Header h;
+  h.tos = b[1];
+  h.total_length = u16(2);
+  h.identification = u16(4);
+  const uint16_t flags_frag = u16(6);
   h.dont_fragment = (flags_frag & 0x4000) != 0;
   h.more_fragments = (flags_frag & 0x2000) != 0;
   h.fragment_offset = flags_frag & 0x1fff;
-  h.ttl = r.ReadU8();
-  h.protocol = static_cast<IpProto>(r.ReadU8());
-  const uint16_t wire_checksum = r.ReadU16();
-  h.src = Ipv4Address(r.ReadU32());
-  h.dst = Ipv4Address(r.ReadU32());
-  if (!r.ok()) {
-    return std::nullopt;
-  }
-  // Recompute the checksum from the parsed fields (zero checksum field).
-  ByteWriter w(kSize);
-  w.WriteU8(0x45);
-  w.WriteU8(h.tos);
-  w.WriteU16(h.total_length);
-  w.WriteU16(h.identification);
-  w.WriteU16(flags_frag);
-  w.WriteU8(h.ttl);
-  w.WriteU8(static_cast<uint8_t>(h.protocol));
-  w.WriteU16(0);
-  w.WriteU32(h.src.value());
-  w.WriteU32(h.dst.value());
-  if (ComputeInternetChecksum(w.data()) != wire_checksum) {
+  h.ttl = b[8];
+  h.protocol = static_cast<IpProto>(b[9]);
+  h.src = Ipv4Address((static_cast<uint32_t>(u16(12)) << 16) | u16(14));
+  h.dst = Ipv4Address((static_cast<uint32_t>(u16(16)) << 16) | u16(18));
+  // Recompute the checksum over the 18 other header bytes, in place, and
+  // compare it with the wire field. Folding all 20 bytes to zero instead
+  // would also accept 0xffff on the wire where the recomputed value is
+  // 0x0000, which a sender never writes (DESIGN.md §12, "Checksums").
+  InternetChecksum cs;
+  cs.Add(b, 10);
+  cs.Add(b + 12, kSize - 12);
+  if (cs.Fold() != u16(10)) {
     return std::nullopt;
   }
   return h;

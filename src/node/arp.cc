@@ -49,7 +49,7 @@ void ArpService::TransmitArp(NetDevice* device, const ArpMessage& msg, MacAddres
   frame.src = device->mac();
   frame.ethertype = EtherType::kArp;
   frame.payload = msg.Serialize();
-  device->Transmit(frame);
+  device->Transmit(std::move(frame));
 }
 
 void ArpService::SendRequest(NetDevice* device, Ipv4Address ip) {

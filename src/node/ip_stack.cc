@@ -309,11 +309,10 @@ void IpStack::DoSend(Ipv4Header header, Packet wire, bool forwarding, SendOption
   if (IsLocalAddress(dst) || dst.IsLoopback()) {
     const Time fire =
         PipelineDelay(deliver_pipe_busy_, delays_.deliver_mean, delays_.deliver_jitter);
-    sim_.ScheduleAt(
-        fire, [this, header, payload = wire.Slice(Ipv4Header::kSize,
-                                                  wire.size() - Ipv4Header::kSize)] {
-          Deliver(header, payload, nullptr, MacAddress::Zero());
-        });
+    wire.StripFront(Ipv4Header::kSize);
+    sim_.ScheduleAt(fire, [this, header, payload = std::move(wire)]() mutable {
+      Deliver(header, std::move(payload), nullptr, MacAddress::Zero());
+    });
     return;
   }
 
@@ -430,7 +429,7 @@ void IpStack::TransmitFrame(NetDevice* device, Packet wire, MacAddress dst_mac) 
   frame.src = device->mac();
   frame.ethertype = EtherType::kIpv4;
   frame.payload = std::move(wire);
-  if (!device->Transmit(frame)) {
+  if (!device->Transmit(std::move(frame))) {
     ++counters_.drop_device;
   }
 }
@@ -490,20 +489,23 @@ void IpStack::InjectReceivedPacket(const Ipv4Header& header, Packet wire, NetDev
       }
       const Time fire =
           PipelineDelay(deliver_pipe_busy_, delays_.deliver_mean, delays_.deliver_jitter);
-      DispatchStage(sim_, fire, [this, whole_header = whole->header,
-                                 payload = Packet(std::move(whole->payload)), ingress, link_src] {
-        Deliver(whole_header, payload, ingress, link_src);
-      });
+      DispatchStage(sim_, fire,
+                    [this, whole_header = whole->header,
+                     payload = Packet(std::move(whole->payload)), ingress, link_src]() mutable {
+                      Deliver(whole_header, std::move(payload), ingress, link_src);
+                    });
       return;
     }
     // Non-fragments skip reassembly entirely (Add returns them unchanged)
-    // and deliver a zero-copy view of the payload bytes.
+    // and deliver the wire image itself, the IP header stripped in place, so
+    // the payload reaches its handler as the only reference.
     const Time fire =
         PipelineDelay(deliver_pipe_busy_, delays_.deliver_mean, delays_.deliver_jitter);
-    DispatchStage(
-        sim_, fire, [this, header, payload = wire.Slice(Ipv4Header::kSize,
-                                                        wire.size() - Ipv4Header::kSize),
-                     ingress, link_src] { Deliver(header, payload, ingress, link_src); });
+    wire.StripFront(Ipv4Header::kSize);
+    DispatchStage(sim_, fire,
+                  [this, header, payload = std::move(wire), ingress, link_src]() mutable {
+                    Deliver(header, std::move(payload), ingress, link_src);
+                  });
     return;
   }
   if (forwarding_enabled_) {
@@ -581,7 +583,8 @@ void IpStack::Forward(Ipv4Header header, Packet wire, NetDevice* ingress) {
   });
 }
 
-void IpStack::Deliver(const Ipv4Header& header, const Packet& payload, NetDevice* ingress,
+// msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+void IpStack::Deliver(const Ipv4Header& header, Packet payload, NetDevice* ingress,
                       MacAddress link_src) {
   ++counters_.datagrams_delivered;
   switch (header.protocol) {
@@ -596,7 +599,7 @@ void IpStack::Deliver(const Ipv4Header& header, const Packet& payload, NetDevice
   }
   auto it = protocol_handlers_.find(header.protocol);
   if (it != protocol_handlers_.end()) {
-    it->second(header, payload, ingress);
+    it->second(header, std::move(payload), ingress);
     return;
   }
   ++counters_.drop_no_handler;

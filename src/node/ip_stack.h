@@ -69,10 +69,12 @@ struct RouteDecision {
 
 class IpStack {
  public:
-  // `payload` is a zero-copy view into the received wire image; handlers that
-  // need the bytes past the callback must copy (Packet copies are refcounted
-  // and cheap, but mutation COWs).
-  using ProtocolHandler = std::function<void(const Ipv4Header& header, const Packet& payload,
+  // `payload` is the received wire image past the IP header, moved in: the
+  // handler holds the only reference the stack had, so it may keep, trim or
+  // re-inject it (the tunnel endpoint forwards the inner datagram) without a
+  // copy. Handlers that only read may still take it as `const Packet&`.
+  // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+  using ProtocolHandler = std::function<void(const Ipv4Header& header, Packet payload,
                                              NetDevice* ingress)>;
   using RouteLookupOverride =
       std::function<std::optional<RouteDecision>(const RouteQuery& query)>;
@@ -311,7 +313,8 @@ class IpStack {
   void HandleIpv4Frame(NetDevice& device, EthernetFrame&& frame);
   // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
   void Forward(Ipv4Header header, Packet wire, NetDevice* ingress);
-  void Deliver(const Ipv4Header& header, const Packet& payload, NetDevice* ingress,
+  // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+  void Deliver(const Ipv4Header& header, Packet payload, NetDevice* ingress,
                MacAddress link_src);
   void HandleIcmp(const Ipv4Header& header, const Packet& payload, NetDevice* ingress);
   void HandleUdp(const Ipv4Header& header, const Packet& payload, NetDevice* ingress,

@@ -275,5 +275,56 @@ TEST_F(HandoffTest, TriangleRouteWorksWithoutFilterAndShortensPath) {
   EXPECT_LT(triangle_mean, tunnel_mean);
 }
 
+// The tunnel datapath moves ownership of the wire image from hop to hop, so
+// an echo from the correspondent through the HA's tunnel to the MH, and back
+// through the reverse tunnel and the HA's forward, copies no packet bytes:
+// the one allocation per direction is the sender building its datagram.
+TEST(TunnelEchoTest, ReverseTunnelEchoMakesNoPacketCopies) {
+  TestbedConfig cfg;
+  cfg.seed = 3;
+  Testbed tb(cfg);
+  tb.StartMobileOnWired();
+  ASSERT_TRUE(tb.mobile->registered());
+  ProbeEchoServer server(*tb.mh, 7);
+  UdpSocket socket(tb.ch->stack());
+  ASSERT_TRUE(socket.Bind(0));
+  std::vector<std::vector<uint8_t>> echoes;
+  socket.SetReceiveHandler([&](const std::vector<uint8_t>& data, const UdpSocket::Metadata&) {
+    echoes.push_back(data);
+  });
+  // Smallest and largest payloads; the large one is the biggest whose
+  // tunneled form fits the 1500-byte MTU (1500 - 20 - 20 - 8).
+  const auto payload = [](int i) {
+    return std::vector<uint8_t>(i % 2 == 0 ? 4 : 1452, static_cast<uint8_t>(i));
+  };
+  const auto echo = [&](int i) {
+    socket.SendTo(Testbed::HomeAddress(), 7, payload(i));
+    tb.sim.RunFor(Milliseconds(50));
+  };
+  echo(0);  // Warm-up: fills the ARP caches along the path.
+  ASSERT_EQ(echoes.size(), 1u);
+
+  constexpr int kEchoes = 20;
+  const Packet::Stats before = Packet::stats();
+  const uint64_t tunneled_before = tb.home_agent->counters().packets_tunneled;
+  const uint64_t reverse_before = tb.home_agent->counters().reverse_decapsulated;
+  for (int i = 1; i <= kEchoes; ++i) {
+    echo(i);
+  }
+  const Packet::Stats after = Packet::stats();
+  ASSERT_EQ(echoes.size(), 1u + kEchoes);
+  for (int i = 1; i <= kEchoes; ++i) {
+    EXPECT_EQ(echoes[static_cast<size_t>(i)], payload(i)) << "echo " << i;
+  }
+  // Both tunnels really carried every echo.
+  EXPECT_EQ(tb.home_agent->counters().packets_tunneled - tunneled_before,
+            static_cast<uint64_t>(kEchoes));
+  EXPECT_EQ(tb.home_agent->counters().reverse_decapsulated - reverse_before,
+            static_cast<uint64_t>(kEchoes));
+  EXPECT_EQ(after.copies - before.copies, 0u);
+  EXPECT_EQ(after.cow_breaks - before.cow_breaks, 0u);
+  EXPECT_LE(after.allocations - before.allocations, 2u * kEchoes);
+}
+
 }  // namespace
 }  // namespace msn

@@ -101,7 +101,8 @@ TEST_F(TunnelEndpointTest, DecapsulatesAndDeliversInner) {
 
 TEST_F(TunnelEndpointTest, InspectorCanVeto) {
   IpIpTunnelEndpoint endpoint(node_.stack());
-  endpoint.SetInspector([](const Ipv4Header&, const Ipv4Datagram&) { return false; });
+  endpoint.SetInspector(
+      [](const Ipv4Header&, const Ipv4Header&, const Packet&) { return false; });
   int delivered = 0;
   node_.stack().RegisterProtocolHandler(
       IpProto::kTcp,
@@ -116,6 +117,39 @@ TEST_F(TunnelEndpointTest, InspectorCanVeto) {
   sim_.Run();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(endpoint.packets_decapsulated(), 0u);
+}
+
+TEST_F(TunnelEndpointTest, InspectorSeesInnerWithoutCopy) {
+  IpIpTunnelEndpoint endpoint(node_.stack());
+  Ipv4Header inner;
+  inner.protocol = IpProto::kTcp;
+  inner.src = Ipv4Address(9, 9, 9, 9);
+  inner.dst = Ipv4Address(10, 0, 0, 1);
+  const std::vector<uint8_t> payload = {1, 2, 3, 4, 5, 6};
+  Ipv4Header outer;
+  const Packet wire = EncapsulateIpIpPacket(outer, BuildIpv4Packet(inner, payload),
+                                            Ipv4Address(8, 8, 8, 8), Ipv4Address(10, 0, 0, 1));
+
+  int inspected = 0;
+  endpoint.SetInspector([&](const Ipv4Header& seen_outer, const Ipv4Header& seen_inner,
+                            const Packet& inner_wire) {
+    ++inspected;
+    EXPECT_EQ(seen_outer.src, Ipv4Address(8, 8, 8, 8));
+    EXPECT_EQ(seen_inner.src, inner.src);
+    EXPECT_EQ(seen_inner.total_length, inner.total_length);
+    // The inner wire image is a view of the received outer packet, trimmed
+    // to the inner datagram: same storage, no bytes copied.
+    EXPECT_TRUE(inner_wire.SharesStorageWith(wire));
+    EXPECT_EQ(inner_wire.data(), wire.data() + Ipv4Header::kSize);
+    EXPECT_EQ(inner_wire.size(), inner.total_length);
+    return false;
+  });
+  const Packet::Stats before = Packet::stats();
+  node_.stack().InjectReceivedPacket(outer, wire, nullptr);
+  sim_.Run();
+  EXPECT_EQ(inspected, 1);
+  EXPECT_EQ(Packet::stats().copies, before.copies);
+  EXPECT_EQ(Packet::stats().allocations, before.allocations);
 }
 
 TEST_F(TunnelEndpointTest, CorruptInnerCounted) {

@@ -217,6 +217,29 @@ class MsnLintTest(unittest.TestCase):
                         "void Sink(Packet wire) {}\n")
         self.assertEqual(run_lint(self.tree.root), [])
 
+    def test_frame_by_value_tunnel_sinks_allowed(self):
+        # The tunnel datapath's ownership sinks: a device Transmit override
+        # that takes the frame, and a handler type whose payload is moved in.
+        self.tree.write("src/mip/ok.cc",
+                        "// msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.\n"
+                        "bool Transmit(EthernetFrame frame) override;\n"
+                        "// msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.\n"
+                        "using Handler = std::function<void(const Ipv4Header& h, Packet payload,\n"
+                        "                                   NetDevice* ingress)>;\n")
+        self.assertEqual(run_lint(self.tree.root), [])
+
+    def test_frame_by_value_allow_reaches_one_line_only(self):
+        # A standalone allow covers the line below it, not a by-value
+        # parameter that a wrapped signature pushes further down.
+        path = self.tree.write("src/mip/bad.cc",
+                               "// msn-lint: allow(perf/frame-by-value) — ownership sink.\n"
+                               "void EncapsulateOut(const Ipv4Header& inner,\n"
+                               "                    Packet inner_wire) {}\n")
+        violations = run_lint(self.tree.root)
+        self.assertEqual(rules_of(violations), ["perf/frame-by-value"])
+        self.assertEqual(violations[0].line, 3)
+        self.assertEqual(violations[0].path, path)
+
     def test_frame_outside_src_not_flagged(self):
         self.tree.write("tests/whatever.cc", "void f(Packet wire) {}\n")
         self.assertEqual(run_lint(self.tree.root, ["tests"]), [])

@@ -1,10 +1,14 @@
 // Unit tests for src/net: addresses, checksums, and wire formats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/net/address.h"
 #include "src/net/checksum.h"
 #include "src/net/frame.h"
 #include "src/net/headers.h"
+#include "src/util/rng.h"
 
 namespace msn {
 namespace {
@@ -210,6 +214,137 @@ TEST(ChecksumTest, AddU16U32MatchBytes) {
   a.AddU32(0xdeadbeef);
   const uint8_t bytes[] = {0x12, 0x34, 0xde, 0xad, 0xbe, 0xef};
   EXPECT_EQ(a.Fold(), ComputeInternetChecksum(bytes, sizeof(bytes)));
+
+  // The same words after an odd byte straddle it.
+  InternetChecksum b;
+  const uint8_t lead[] = {0xab};
+  b.Add(lead, 1);
+  b.AddU16(0x1234);
+  b.AddU32(0xdeadbeef);
+  const uint8_t straddled[] = {0xab, 0x12, 0x34, 0xde, 0xad, 0xbe, 0xef};
+  EXPECT_EQ(b.Fold(), ComputeInternetChecksum(straddled, sizeof(straddled)));
+}
+
+// The byte-pair summation InternetChecksum used to run: one big-endian 16-bit
+// word per step, an odd trailing byte carried into the next call. It lives
+// here only, as the oracle the word-at-a-time implementation must match
+// exactly.
+class BytePairChecksum {
+ public:
+  void Add(const uint8_t* data, size_t len) {
+    size_t i = 0;
+    if (odd_ && len > 0) {
+      sum_ += (static_cast<uint16_t>(pending_) << 8) | data[0];
+      odd_ = false;
+      i = 1;
+    }
+    for (; i + 1 < len; i += 2) {
+      sum_ += (static_cast<uint16_t>(data[i]) << 8) | data[i + 1];
+    }
+    if (i < len) {
+      pending_ = data[i];
+      odd_ = true;
+    }
+  }
+  void AddU16(uint16_t v) {
+    const uint8_t b[2] = {static_cast<uint8_t>(v >> 8), static_cast<uint8_t>(v & 0xff)};
+    Add(b, 2);
+  }
+  void AddU32(uint32_t v) {
+    AddU16(static_cast<uint16_t>(v >> 16));
+    AddU16(static_cast<uint16_t>(v & 0xffff));
+  }
+  uint16_t Fold() const {
+    uint64_t sum = sum_;
+    if (odd_) {
+      sum += static_cast<uint16_t>(pending_) << 8;
+    }
+    while (sum >> 16) {
+      sum = (sum & 0xffff) + (sum >> 16);
+    }
+    return static_cast<uint16_t>(~sum & 0xffff);
+  }
+
+ private:
+  uint64_t sum_ = 0;
+  bool odd_ = false;
+  uint8_t pending_ = 0;
+};
+
+uint16_t BytePairOneShot(const uint8_t* data, size_t len) {
+  BytePairChecksum cs;
+  cs.Add(data, len);
+  return cs.Fold();
+}
+
+TEST(ChecksumTest, MatchesBytePairReferenceOnRandomBuffers) {
+  Rng rng(1071);
+  std::vector<uint8_t> storage(2000 + 8);
+  for (int trial = 0; trial < 4000; ++trial) {
+    // Misaligned starts: the word loads must not assume alignment.
+    const size_t start = rng.UniformInt(uint64_t{0}, uint64_t{7});
+    const size_t len = rng.UniformInt(uint64_t{0}, uint64_t{2000});
+    const uint64_t fill = rng.UniformInt(uint64_t{0}, uint64_t{3});
+    for (size_t i = 0; i < len; ++i) {
+      switch (fill) {
+        case 0:
+          storage[start + i] = 0x00;
+          break;
+        case 1:
+          storage[start + i] = 0xff;
+          break;
+        default:
+          storage[start + i] = static_cast<uint8_t>(rng.NextU64());
+          break;
+      }
+    }
+    const uint8_t* data = storage.data() + start;
+    ASSERT_EQ(ComputeInternetChecksum(data, len), BytePairOneShot(data, len))
+        << "trial " << trial << " len " << len << " start " << start;
+
+    // The same bytes split into several Add calls at arbitrary (often odd)
+    // offsets, with pseudo-header words interleaved between them.
+    InternetChecksum cs;
+    BytePairChecksum ref;
+    size_t pos = 0;
+    while (pos < len) {
+      const uint64_t cap = rng.Bernoulli(0.5) ? 7 : 700;
+      const size_t chunk = rng.UniformInt(uint64_t{0}, std::min<uint64_t>(cap, len - pos));
+      cs.Add(data + pos, chunk);
+      ref.Add(data + pos, chunk);
+      pos += chunk;
+      if (rng.Bernoulli(0.3)) {
+        const auto v = static_cast<uint16_t>(rng.NextU64());
+        cs.AddU16(v);
+        ref.AddU16(v);
+      }
+      if (rng.Bernoulli(0.3)) {
+        const auto v = static_cast<uint32_t>(rng.NextU64());
+        cs.AddU32(v);
+        ref.AddU32(v);
+      }
+    }
+    ASSERT_EQ(cs.Fold(), ref.Fold()) << "trial " << trial << " len " << len;
+  }
+}
+
+TEST(ChecksumTest, AllZeroAndAllOnesBuffersMatchReference) {
+  // The edge values of one's-complement arithmetic: an all-zero buffer sums
+  // to +0 (checksum 0xffff), an all-0xff buffer to -0 (checksum 0).
+  for (const uint8_t byte : {uint8_t{0x00}, uint8_t{0xff}}) {
+    std::vector<uint8_t> buf(2000 + 3, byte);
+    for (size_t len = 0; len <= 2000; ++len) {
+      for (size_t start = 0; start < 3; ++start) {
+        const uint8_t* data = buf.data() + start;
+        ASSERT_EQ(ComputeInternetChecksum(data, len), BytePairOneShot(data, len))
+            << "byte " << int{byte} << " len " << len << " start " << start;
+      }
+    }
+  }
+  const std::vector<uint8_t> zeros(64, 0x00);
+  EXPECT_EQ(ComputeInternetChecksum(zeros), 0xffff);
+  const std::vector<uint8_t> ones(64, 0xff);
+  EXPECT_EQ(ComputeInternetChecksum(ones), 0x0000);
 }
 
 // --- IPv4 header ------------------------------------------------------------------------------
@@ -250,6 +385,67 @@ TEST(Ipv4HeaderTest, ParseRejectsCorruption) {
   bytes[8] ^= 0x01;
   ByteReader r(bytes);
   EXPECT_FALSE(Ipv4Header::Parse(r).has_value());
+}
+
+// Writes `h` with its checksum field forced to `checksum`.
+std::vector<uint8_t> HeaderWithChecksum(const Ipv4Header& h, uint16_t checksum) {
+  std::vector<uint8_t> bytes(Ipv4Header::kSize);
+  h.SerializeTo(bytes.data());
+  bytes[10] = static_cast<uint8_t>(checksum >> 8);
+  bytes[11] = static_cast<uint8_t>(checksum);
+  return bytes;
+}
+
+TEST(Ipv4HeaderTest, ParseComparesChecksumInsteadOfFoldingToZero) {
+  // Find a header whose correct checksum is 0x0000. Its one's-complement
+  // negative zero, 0xffff, makes the 20 bytes fold to zero just the same,
+  // but no sender writes it: Parse compares with the recomputed value and
+  // rejects it.
+  Ipv4Header h;
+  h.total_length = 20;
+  h.src = Ipv4Address(36, 135, 0, 10);
+  h.dst = Ipv4Address(36, 8, 0, 20);
+  bool found = false;
+  for (uint32_t id = 0; id <= 0xffff && !found; ++id) {
+    h.identification = static_cast<uint16_t>(id);
+    std::vector<uint8_t> bytes(Ipv4Header::kSize);
+    h.SerializeTo(bytes.data());
+    found = bytes[10] == 0 && bytes[11] == 0;
+  }
+  ASSERT_TRUE(found);
+
+  const auto good = HeaderWithChecksum(h, 0x0000);
+  ByteReader good_reader(good);
+  const auto parsed = Ipv4Header::Parse(good_reader);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->identification, h.identification);
+
+  const auto negative_zero = HeaderWithChecksum(h, 0xffff);
+  EXPECT_TRUE(VerifyInternetChecksum(negative_zero.data(), negative_zero.size()));
+  ByteReader bad_reader(negative_zero);
+  EXPECT_FALSE(Ipv4Header::Parse(bad_reader).has_value());
+}
+
+TEST(Ipv4HeaderTest, ReservedFlagBitStillVerifies) {
+  // The reserved flag bit is not a parsed field, but the checksum covers it
+  // as sent.
+  Ipv4Header h;
+  h.total_length = 20;
+  h.identification = 4242;
+  std::vector<uint8_t> bytes(Ipv4Header::kSize);
+  h.SerializeTo(bytes.data());
+  bytes[6] |= 0x80;
+  bytes[10] = 0;
+  bytes[11] = 0;
+  const uint16_t checksum = ComputeInternetChecksum(bytes.data(), bytes.size());
+  bytes[10] = static_cast<uint8_t>(checksum >> 8);
+  bytes[11] = static_cast<uint8_t>(checksum);
+  ByteReader r(bytes);
+  const auto parsed = Ipv4Header::Parse(r);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->identification, 4242);
+  EXPECT_FALSE(parsed->dont_fragment);
+  EXPECT_FALSE(parsed->more_fragments);
 }
 
 TEST(Ipv4HeaderTest, ParseRejectsTruncation) {
