@@ -10,6 +10,15 @@ namespace msn {
 
 ArpService::ArpService(Simulator& sim, IpStack& stack) : sim_(sim), stack_(stack) {}
 
+ArpService::~ArpService() {
+  sim_.Cancel(gratuitous_timer_);
+  // Cancel-all teardown: bucket order cannot reach behavior.
+  // msn-analyze: allow(determinism/unordered-iteration)
+  for (auto& [ip, pending] : pending_) {
+    sim_.Cancel(pending.retry_event);
+  }
+}
+
 std::optional<MacAddress> ArpService::CachedLookup(Ipv4Address ip) const {
   auto it = cache_.find(ip);
   if (it == cache_.end() || it->second.expires < sim_.Now()) {
@@ -30,7 +39,7 @@ void ArpService::AddStaticEntry(Ipv4Address ip, MacAddress mac) {
 void ArpService::RemoveEntry(Ipv4Address ip) { cache_.erase(ip); }
 
 void ArpService::AddProxyEntry(NetDevice* device, Ipv4Address ip) {
-  proxies_[{device, ip}] = true;
+  proxies_.emplace(device, ip);
 }
 
 void ArpService::RemoveProxyEntry(NetDevice* device, Ipv4Address ip) {
@@ -180,24 +189,47 @@ void ArpService::SendGratuitousArp(NetDevice* device, Ipv4Address ip) {
 
 void ArpService::AnnounceGratuitousArp(NetDevice* device, Ipv4Address ip) {
   SendGratuitousArp(device, ip);
-  ScheduleGratuitousRepeat(device, ip, kGratuitousRepeats - 1);
+  QueueGratuitousRepeat(device, ip, kGratuitousRepeats - 1);
 }
 
-void ArpService::ScheduleGratuitousRepeat(NetDevice* device, Ipv4Address ip,
-                                          int remaining) {
+void ArpService::QueueGratuitousRepeat(NetDevice* device, Ipv4Address ip, int remaining) {
   if (remaining <= 0) {
     return;
   }
-  sim_.Schedule(kGratuitousSpacing, [this, device, ip, remaining] {
-    if (!device->IsUp()) {
-      return;
-    }
-    if (!IsProxying(device, ip) && stack_.GetInterfaceAddress(device) != ip) {
-      return;  // No longer ours to announce.
-    }
-    SendGratuitousArp(device, ip);
-    ScheduleGratuitousRepeat(device, ip, remaining - 1);
-  });
+  // Reserved after the send, so the send's own transmit event is numbered
+  // first and every later event keeps the number a Schedule call made here
+  // would leave it.
+  const uint64_t seq = sim_.ReserveSequence(1);
+  const Time when = sim_.Now() + kGratuitousSpacing;
+  gratuitous_.push_back(GratuitousRepeat{when, seq, device, ip, remaining});
+  if (gratuitous_.size() == 1) {
+    ArmGratuitousTimer();
+  }
+}
+
+void ArpService::ArmGratuitousTimer() {
+  const GratuitousRepeat& next = gratuitous_.front();
+  gratuitous_timer_ = sim_.ScheduleReserved(next.when, next.seq, [this] { OnGratuitousTimer(); });
+}
+
+void ArpService::OnGratuitousTimer() {
+  const GratuitousRepeat repeat = gratuitous_.front();
+  gratuitous_.pop_front();
+  // Re-arm first, so the next repeat is already pending for the inline
+  // dispatch's "nothing else pending now" test (DESIGN.md §18) while this one
+  // sends, as it would be if every repeat were its own event.
+  if (!gratuitous_.empty()) {
+    ArmGratuitousTimer();
+  }
+  if (!repeat.device->IsUp()) {
+    return;
+  }
+  if (!IsProxying(repeat.device, repeat.ip) &&
+      stack_.GetInterfaceAddress(repeat.device) != repeat.ip) {
+    return;  // No longer ours to announce.
+  }
+  SendGratuitousArp(repeat.device, repeat.ip);
+  QueueGratuitousRepeat(repeat.device, repeat.ip, repeat.remaining - 1);
 }
 
 }  // namespace msn

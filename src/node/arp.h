@@ -14,11 +14,11 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "src/net/frame.h"
 #include "src/net/headers.h"
@@ -34,6 +34,13 @@ class ArpService {
   using ResolveCallback = std::function<void(std::optional<MacAddress>)>;
 
   ArpService(Simulator& sim, IpStack& stack);
+  // Cancels the service's pending events (the next gratuitous repeat and
+  // every resolution retry), so a node destroyed mid-run leaves nothing in
+  // the simulator pointing at it.
+  ~ArpService();
+
+  ArpService(const ArpService&) = delete;
+  ArpService& operator=(const ArpService&) = delete;
 
   // Resolves `ip` on `device`. Invokes `cb` immediately if cached; otherwise
   // sends up to `kMaxRetries` requests one second apart and fails with
@@ -60,7 +67,9 @@ class ArpService {
   // rides an unreliable broadcast, so mobility agents repeat it). A repeat is
   // skipped once the claim stops being true — the device went down, or the
   // address is neither proxied nor configured here any more — so a stale
-  // repeat can never clobber the next owner's announcement.
+  // repeat can never clobber the next owner's announcement. Each repeat fires
+  // at the (time, sequence) position its own Schedule call would have taken,
+  // but only the earliest one is ever pending in the simulator (DESIGN.md §17).
   static constexpr int kGratuitousRepeats = 3;
   static constexpr Duration kGratuitousSpacing = Milliseconds(400);
   void AnnounceGratuitousArp(NetDevice* device, Ipv4Address ip);
@@ -94,9 +103,21 @@ class ArpService {
     std::vector<ResolveCallback> callbacks;
     EventId retry_event;
   };
+  // One queued gratuitous repeat, due at (when, seq).
+  struct GratuitousRepeat {
+    Time when;
+    uint64_t seq;
+    NetDevice* device;
+    Ipv4Address ip;
+    int remaining;  // Repeats still due after this one.
+  };
 
   void SendRequest(NetDevice* device, Ipv4Address ip);
-  void ScheduleGratuitousRepeat(NetDevice* device, Ipv4Address ip, int remaining);
+  // Queues a repeat of `ip`'s announcement one spacing from now, at the next
+  // sequence number.
+  void QueueGratuitousRepeat(NetDevice* device, Ipv4Address ip, int remaining);
+  void ArmGratuitousTimer();
+  void OnGratuitousTimer();
   void RetryOrFail(Ipv4Address ip);
   void InsertCacheEntry(Ipv4Address ip, MacAddress mac);
   void TransmitArp(NetDevice* device, const ArpMessage& msg, MacAddress dst);
@@ -111,7 +132,13 @@ class ArpService {
   std::unordered_map<Ipv4Address, CacheEntry> cache_;
   std::unordered_map<Ipv4Address, PendingResolution> pending_;
   // Proxy set keyed by (device, ip); a HA typically proxies on one interface.
-  std::map<std::pair<NetDevice*, Ipv4Address>, bool> proxies_;
+  std::set<std::pair<NetDevice*, Ipv4Address>> proxies_;
+  // Gratuitous repeats in fire order: each is queued at the current time with
+  // the same fixed spacing and a fresh sequence number, so (when, seq) only
+  // grows along the queue. Only the front has a simulator event
+  // (gratuitous_timer_).
+  std::deque<GratuitousRepeat> gratuitous_;
+  EventId gratuitous_timer_;
   Duration entry_lifetime_ = Seconds(120);
   Counters counters_;
 };

@@ -39,7 +39,18 @@ bool EventQueue::Cancel(EventId id) {
   slots_[slot].cb.Reset();
   free_slots_.push_back(slot);
   --live_count_;
+  PurgeIfMostlyCancelled();
   return true;
+}
+
+void EventQueue::PurgeIfMostlyCancelled() {
+  if (heap_.size() - live_count_ <= live_count_) {
+    return;
+  }
+  // (when, seq) is a strict total order, so rebuilding the heap from the live
+  // items cannot change which one pops next.
+  std::erase_if(heap_, [this](const Item& item) { return slots_[item.slot].gen != item.gen; });
+  std::make_heap(heap_.begin(), heap_.end(), After);
 }
 
 void EventQueue::PopHeapItem() {
@@ -69,6 +80,7 @@ EventQueue::Entry EventQueue::PopNext() {
   free_slots_.push_back(slot);
   --live_count_;
   PopHeapItem();
+  PurgeIfMostlyCancelled();
   return entry;
 }
 

@@ -53,6 +53,9 @@ class Simulator {
 
   bool HasPendingEvents() const { return !queue_.empty(); }
   size_t pending_events() const { return queue_.size(); }
+  // Event-heap items stored, cancelled ones included; at most twice
+  // pending_events() (event_queue.h).
+  size_t heap_items() const { return queue_.heap_items(); }
   uint64_t events_executed() const { return events_executed_; }
 
   // Earliest pending event's timestamp; Time::Max() when idle. The inline

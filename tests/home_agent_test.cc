@@ -1,12 +1,15 @@
 // Unit tests for the home agent: registration validation, binding lifecycle,
 // proxy ARP behaviour, lifetime expiry (and its one-timer expiry heap),
-// replay rejection, and owner teardown with events still pending.
+// replay rejection, owner teardown with events still pending, and the event
+// heap's size under a registrant fleet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/mip/calibration.h"
 #include "src/mip/home_agent.h"
 #include "src/mip/reg_load.h"
 #include "src/node/udp.h"
@@ -489,6 +492,77 @@ TEST_F(HomeAgentFixture, LoadGeneratorDestroyedMidRunCancelsPendingArrival) {
   EXPECT_GT(sent_before_teardown, 0u);
   EXPECT_LT(sent_before_teardown, 200u);
   EXPECT_EQ(tb_->home_agent->counters().requests_received, sent_before_teardown);
+}
+
+// The fleet benchmark's shape at a fifth of its size: 20k registrants offered
+// at 0.75x the knee of a 16-shard, 32-batch HA on a router between the home
+// and visited segments. Every install announces a gratuitous ARP repeated
+// for 800 ms, and most registrations cancel a retransmit timer, yet the event
+// heap must stay the size of the live work: one pending repeat for the whole
+// ARP service, and no more cancelled items than live ones. With one event
+// per repeat, about rate x 0.8 s of them would be pending at once.
+TEST(HomeAgentFleetTest, EventHeapStaysTheSizeOfTheLiveWork) {
+  constexpr uint32_t kClients = 20000;
+  constexpr uint32_t kShards = 16;
+  constexpr uint32_t kBatchMax = 32;
+  const Calibration cal = Calibration::Default();
+  const double batch_ms =
+      cal.ha_batch_fixed.mean.ToMillisF() + cal.ha_batch_item.mean.ToMillisF() * kBatchMax;
+  const double rate_per_s = 0.75 * kShards * kBatchMax / batch_ms * 1000.0;
+
+  Simulator sim(1);
+  BroadcastMedium net135(sim, "net135", EthernetMediumParams());
+  BroadcastMedium net8(sim, "net8", EthernetMediumParams());
+  Node router(sim, "router");
+  router.stack().set_forwarding_enabled(true);
+  EthernetDevice* r135 = router.AddEthernet("eth135", &net135);
+  EthernetDevice* r8 = router.AddEthernet("eth8", &net8);
+  for (EthernetDevice* dev : {r135, r8}) {
+    dev->set_bandwidth_bps(1'000'000'000);
+    dev->ForceUp();
+  }
+  router.ConfigureInterface(r135, "36.135.0.1/16");
+  router.ConfigureInterface(r8, "36.8.0.1/16");
+  HomeAgent::Config ha_config;
+  ha_config.address = Ipv4Address(36, 135, 0, 1);
+  ha_config.home_device = r135;
+  ha_config.home_subnet = Subnet::MustParse("36.0.0.0/8");
+  ha_config.num_shards = kShards;
+  ha_config.batch_max = kBatchMax;
+  ha_config.admission_queue_limit = 64;
+  HomeAgent ha(router, ha_config);
+
+  Node fleet_node(sim, "fleet");
+  EthernetDevice* eth = fleet_node.AddEthernet("eth0", &net8);
+  eth->set_bandwidth_bps(1'000'000'000);
+  eth->ForceUp();
+  fleet_node.ConfigureInterface(eth, "36.8.0.2/16");
+  fleet_node.AddDefaultRoute(Ipv4Address(36, 8, 0, 1), eth);
+  RegistrationLoadGenerator::Config lc;
+  lc.home_agent = Ipv4Address(36, 135, 0, 1);
+  lc.first_home = Ipv4Address(36, 100, 0, 0);
+  lc.count = kClients;
+  lc.first_care_of = Ipv4Address(36, 8, 16, 1);
+  lc.start_delay = Seconds(1);
+  lc.interarrival = Duration::FromNanos(static_cast<int64_t>(1e9 / rate_per_s));
+  RegistrationLoadGenerator load(fleet_node, lc);
+  load.Start();
+
+  // A tenth of the repeats that one event per repeat would keep pending.
+  const size_t bound = static_cast<size_t>(rate_per_s * 0.8 / 10);
+  size_t peak = 0;
+  const Time horizon = sim.Now() + Seconds(10);
+  while (load.completed() < kClients && sim.Now() < horizon) {
+    sim.RunFor(Milliseconds(100));
+    peak = std::max(peak, sim.pending_events());
+    ASSERT_LE(sim.heap_items(), 2 * sim.pending_events() + 1) << "at " << sim.Now().ToString();
+  }
+  EXPECT_EQ(load.stats().accepted, kClients);
+  EXPECT_EQ(ha.binding_count(), kClients);
+  EXPECT_LT(peak, bound) << "peak pending events " << peak;
+  sim.RunFor(Seconds(1));  // Every series completes.
+  EXPECT_EQ(router.stack().arp().counters().gratuitous_sent,
+            uint64_t{ArpService::kGratuitousRepeats} * kClients);
 }
 
 }  // namespace

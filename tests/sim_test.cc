@@ -198,7 +198,10 @@ TEST(EventQueueTest, ReservedSequenceFiresWhereScheduleWouldHave) {
 // random schedule/cancel/burst workload and require identical fire orders.
 // Callbacks re-schedule at the draining timestamp (same-time bursts) and at
 // future times, reserve sequence numbers and spend them in later callbacks,
-// and cancel random pending events.
+// and cancel random pending events. A cancel-heavy phase schedules a doomed
+// batch larger than the rest of the queue and cancels all of it, some before
+// the drain and the rest in chunks from callbacks, so the queue purges its
+// cancelled items between pops.
 TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
   for (const uint64_t seed : {1ull, 7ull, 1996ull}) {
     // Reference: (when, seq) pairs popped by scanning for the minimum.
@@ -217,6 +220,9 @@ TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
     EventQueue q;
     Rng rng(seed);
     std::vector<std::pair<EventId, size_t>> cancellable;  // (id, ref index)
+    std::vector<std::pair<EventId, size_t>> doomed;       // (id, ref index)
+    int doomed_cancelled = 0;
+    int purges_mid_drain = 0;
     std::vector<int> fired;
     std::vector<int> ref_fired;
     int next_tag = 0;
@@ -273,6 +279,18 @@ TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
         ref.push_back(RefEvent{later, seq2, tag2});
         cancellable.emplace_back(id, ref.size() - 1);
         ++spent_reserved;
+      } else if (roll < 0.97 && !doomed.empty()) {
+        const size_t stored = q.heap_items();
+        const uint64_t chunk = rng.UniformInt(uint64_t{5}, uint64_t{20});
+        for (uint64_t i = 0; i < chunk && !doomed.empty(); ++i) {
+          const auto [id, ref_idx] = doomed.back();
+          doomed.pop_back();
+          if (q.Cancel(id)) {
+            ref[ref_idx].live = false;
+            ++doomed_cancelled;
+          }
+        }
+        purges_mid_drain += q.heap_items() < stored ? 1 : 0;
       }
     };
 
@@ -286,11 +304,35 @@ TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
       cancellable.emplace_back(id, ref.size() - 1);
     }
 
+    // Cancel-heavy phase: a doomed batch outnumbering everything else
+    // pending, a third of it cancelled before the drain.
+    const size_t pending_before_doomed = q.size();
+    for (int i = 0; i < 300; ++i) {
+      const int64_t when = static_cast<int64_t>(rng.UniformInt(uint64_t{0}, uint64_t{300}));
+      const int tag = next_tag++;
+      const uint64_t seq = ref_seq++;
+      EventId id =
+          q.Schedule(Time::FromNanos(when), [&fire, when, seq, tag] { fire(when, seq, tag); });
+      ref.push_back(RefEvent{when, seq, tag});
+      doomed.emplace_back(id, ref.size() - 1);
+    }
+    const size_t pending_at_phase = q.size();
+    ASSERT_GT(pending_at_phase, 2 * pending_before_doomed);
+    for (int i = 0; i < 100; ++i) {
+      const size_t pick = rng.UniformInt(0ull, doomed.size() - 1);
+      q.Cancel(doomed[pick].first);
+      ref[doomed[pick].second].live = false;
+      ++doomed_cancelled;
+      doomed.erase(doomed.begin() + static_cast<ptrdiff_t>(pick));
+    }
+
     int guard = 0;
     while (!q.empty() && guard++ < 10000) {
       q.PopNext().cb();
+      ASSERT_LE(q.heap_items(), 2 * q.size()) << "seed " << seed;
     }
     ASSERT_LT(guard, 10000) << "runaway event cascade, seed " << seed;
+    EXPECT_EQ(q.heap_items(), 0u) << "seed " << seed;
 
     // Drain the reference the slow, obviously-correct way.
     while (true) {
@@ -313,10 +355,62 @@ TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
 
     EXPECT_EQ(fired, ref_fired) << "fire order diverged from reference, seed " << seed;
     EXPECT_GT(spent_reserved, 0) << "seed " << seed;
+    EXPECT_GT(static_cast<size_t>(doomed_cancelled), pending_at_phase / 2) << "seed " << seed;
+    EXPECT_GT(purges_mid_drain, 0) << "seed " << seed;
     // Every Schedule and ScheduleReserved goes through the heap; perfbench
     // reads this split.
     EXPECT_EQ(q.lane_stats().lane_scheduled, 0u) << "seed " << seed;
     EXPECT_EQ(q.lane_stats().heap_scheduled, ref.size()) << "seed " << seed;
+  }
+}
+
+// Cancelled heap items never outnumber live events: a cancel or a pop that
+// would tip the balance purges every cancelled item, and the survivors still
+// pop in (time, sequence) order.
+TEST(EventQueueTest, CancelledItemsNeverOutnumberLiveOnes) {
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(q.Schedule(Time::FromNanos(i / 4), [&order, i] { order.push_back(i); }));
+  }
+  // Cancel every event but each fifth: 800 cancels against 200 survivors.
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 5 != 0) {
+      ASSERT_TRUE(q.Cancel(ids[i]));
+      ASSERT_LE(q.heap_items() - q.size(), q.size()) << "after cancel " << i;
+    }
+  }
+  EXPECT_EQ(q.size(), 200u);
+  EXPECT_LE(q.heap_items(), 400u);
+  EXPECT_LT(q.heap_items(), 1000u);  // At least one purge ran.
+
+  // Pops alone can tip the balance too: with cancelled items equal to live
+  // ones, the next pop purges.
+  EventQueue drained;
+  std::vector<EventId> tail;
+  for (int i = 0; i < 10; ++i) {
+    EventId id = drained.Schedule(Time::FromNanos(i), [] {});
+    if (i >= 5) {
+      tail.push_back(id);
+    }
+  }
+  for (EventId id : tail) {
+    drained.Cancel(id);
+  }
+  EXPECT_EQ(drained.heap_items(), 10u);
+  drained.PopNext();
+  EXPECT_EQ(drained.size(), 4u);
+  EXPECT_EQ(drained.heap_items(), 4u);
+
+  while (!q.empty()) {
+    q.PopNext().cb();
+    ASSERT_LE(q.heap_items(), 2 * q.size());
+  }
+  EXPECT_EQ(q.heap_items(), 0u);
+  ASSERT_EQ(order.size(), 200u);
+  for (size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(order[k], static_cast<int>(5 * k));
   }
 }
 
