@@ -77,7 +77,6 @@ void RunCell(Cell& cell, uint64_t seed, BenchReport* report) {
                                                      Rng(seed).Fork("walk"));
 
   MovementDetector::Config det_cfg;
-  det_cfg.use_signal = true;
   det_cfg.min_residency = Seconds(3);
   det_cfg.metrics = &tb.metrics;
   MovementDetector detector(*tb.mobile, det_cfg);

@@ -46,7 +46,6 @@ int main() {
                                                     Rng(cfg.seed).Fork("walk"));
 
   MovementDetector::Config mc;
-  mc.use_signal = true;  // Hand off on fading RSSI, before probes die.
   mc.min_residency = Seconds(3);
   mc.metrics = &tb.metrics;
   MovementDetector detector(*tb.mobile, mc);
@@ -59,7 +58,7 @@ int main() {
   });
 
   MobilityDriver::Config dc;
-  dc.detector = &detector;
+  dc.detector = &detector;  // RSSI feed: hand off on fading signal, before probes die.
   dc.metrics = &tb.metrics;
   MobilityDriver driver(*tb.mobile, std::move(map), std::move(walk), dc);
   driver.AddBinding(tb.WiredMobilityBinding(&inject_wired, 50));

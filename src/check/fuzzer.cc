@@ -191,7 +191,6 @@ RunResult RunScenario(const ScenarioSpec& spec, const RunOptions& options) {
         BuildMobilityModel(map, mob, Rng(spec.seed).Fork("mobility-model"));
 
     MovementDetector::Config det_cfg;
-    det_cfg.use_signal = true;
     det_cfg.min_residency = Seconds(3);
     det_cfg.metrics = &tb.metrics;
     detector = std::make_unique<MovementDetector>(*tb.mobile, det_cfg);

@@ -98,27 +98,19 @@ void ForeignAgent::RelayReply(const RegistrationReply& reply) {
     return;
   }
   ++counters_.replies_relayed;
-  if (!reply.accepted() || reply.lifetime_sec == 0) {
-    // Denied or deregistered: forget the visitor after relaying the reply.
-    // (Deregistration via an FA is unusual; the MH normally deregisters from
-    // home, but handle it for completeness.)
-  }
   // Frame the reply straight to the visitor's MAC: it has no routable
   // address on this network.
   UdpDatagram dg;
   dg.src_port = kMipRegistrationPort;
   dg.dst_port = it->second.reply_port;
   dg.payload = reply.Serialize();
-  Ipv4Datagram ip;
-  ip.header.protocol = IpProto::kUdp;
-  ip.header.src = config_.address;
-  ip.header.dst = reply.home_address;
-  ip.payload = dg.Serialize(config_.address, reply.home_address);
 
   IpStack::SendOptions opts;
   opts.force_device = config_.device;
   opts.force_dst_mac = it->second.mac;
-  node_.stack().SendDatagram(ip.header.src, ip.header.dst, IpProto::kUdp, ip.payload, opts);
+  node_.stack().SendDatagram(config_.address, reply.home_address, IpProto::kUdp,
+                             dg.Serialize(config_.address, reply.home_address), opts);
+  // Denied: forget the visitor after relaying the reply.
   if (!reply.accepted()) {
     visitors_.erase(it);
   }
@@ -155,42 +147,44 @@ void ForeignAgent::HandleBindingUpdate(const BindingUpdate& update) {
   MSN_INFO("mip-fa", "%s: visitor %s moved to %s", node_.name().c_str(),
            update.home_address.ToString().c_str(), update.new_care_of.ToString().c_str());
   ForwardEntry& entry = forwards_[update.home_address];
-  std::vector<Ipv4Datagram> buffered = std::move(entry.buffered);
+  std::vector<Packet> buffered = std::move(entry.buffered);
   entry.buffered.clear();
   entry.new_care_of = update.new_care_of;
   entry.expires = node_.sim().Now() + Seconds(update.grace_sec);
-  for (const Ipv4Datagram& inner : buffered) {
+  for (Packet& inner_wire : buffered) {
     ++counters_.packets_forwarded_after_departure;
-    const Ipv4Datagram retunneled =
-        EncapsulateIpIp(inner, config_.address, update.new_care_of);
-    node_.stack().SendPreformedDatagram(retunneled, /*forwarding=*/false);
+    Retunnel(std::move(inner_wire), update.new_care_of);
   }
 }
 
-void ForeignAgent::DeliverToVisitor(const Visitor& visitor, const Ipv4Datagram& dg) {
+void ForeignAgent::DeliverToVisitor(const Visitor& visitor, const Packet& inner_wire) {
   EthernetFrame frame;
   frame.dst = visitor.mac;
   frame.src = config_.device->mac();
   frame.ethertype = EtherType::kIpv4;
-  frame.payload = dg.Serialize();
+  frame.payload = inner_wire;
   config_.device->Transmit(std::move(frame));
+}
+
+// msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+void ForeignAgent::Retunnel(Packet inner_wire, Ipv4Address new_care_of) {
+  Ipv4Header outer;
+  Packet wire =
+      EncapsulateIpIpPacket(outer, std::move(inner_wire), config_.address, new_care_of);
+  node_.stack().SendPreformedPacket(outer, std::move(wire), /*forwarding=*/false);
 }
 
 bool ForeignAgent::OnTunnelPacket(const Ipv4Header& outer, const Ipv4Header& inner,
                                   const Packet& inner_wire) {
   (void)outer;
-  // The inner wire image is a view of the tunnel packet; every path that
-  // keeps or re-sends the datagram takes its own copy here.
-  const auto owned = [&inner, &inner_wire] {
-    Ipv4Datagram dg;
-    dg.header = inner;
-    dg.payload.assign(inner_wire.begin() + Ipv4Header::kSize, inner_wire.end());
-    return dg;
-  };
+  // The inner wire image is a view of the tunnel packet; delivering and
+  // buffering share that storage. Re-tunnelling a late packet here copies it
+  // once, when the outer header is prepended, because the endpoint still
+  // holds the received packet.
   auto visitor = visitors_.find(inner.dst);
   if (visitor != visitors_.end()) {
     ++counters_.packets_delivered;
-    DeliverToVisitor(visitor->second, owned());
+    DeliverToVisitor(visitor->second, inner_wire);
     return false;  // Handled; do not re-inject.
   }
   auto forward = forwards_.find(inner.dst);
@@ -202,7 +196,7 @@ bool ForeignAgent::OnTunnelPacket(const Ipv4Header& outer, const Ipv4Header& inn
       // Departing visitor whose new location is still unknown: buffer.
       if (forward->second.buffered.size() < kMaxBufferedPackets) {
         ++counters_.packets_buffered;
-        forward->second.buffered.push_back(owned());
+        forward->second.buffered.push_back(inner_wire);
       } else {
         ++counters_.packets_buffer_dropped;
       }
@@ -212,9 +206,7 @@ bool ForeignAgent::OnTunnelPacket(const Ipv4Header& outer, const Ipv4Header& inn
       // address (paper §5.1: "it can forward the packets to the mobile
       // host's new care-of address").
       ++counters_.packets_forwarded_after_departure;
-      const Ipv4Datagram retunneled =
-          EncapsulateIpIp(owned(), config_.address, forward->second.new_care_of);
-      node_.stack().SendPreformedDatagram(retunneled, /*forwarding=*/false);
+      Retunnel(inner_wire, forward->second.new_care_of);
       return false;
     }
   }

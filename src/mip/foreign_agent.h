@@ -81,8 +81,8 @@ class ForeignAgent {
     Ipv4Address new_care_of;
     Time expires;
     // Packets held while the visitor's new care-of address is still unknown
-    // (new_care_of == Any): the smooth-handoff buffer.
-    std::vector<Ipv4Datagram> buffered;
+    // (new_care_of == Any): the smooth-handoff buffer of inner wire images.
+    std::vector<Packet> buffered;
   };
 
   void OnRegistrationTraffic(const std::vector<uint8_t>& data, const UdpSocket::Metadata& meta);
@@ -92,7 +92,10 @@ class ForeignAgent {
   bool OnTunnelPacket(const Ipv4Header& outer, const Ipv4Header& inner,
                       const Packet& inner_wire);
   void SendAdvertisement();
-  void DeliverToVisitor(const Visitor& visitor, const Ipv4Datagram& dg);
+  void DeliverToVisitor(const Visitor& visitor, const Packet& inner_wire);
+  // Re-tunnels an inner wire image to a departed visitor's new care-of.
+  // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+  void Retunnel(Packet inner_wire, Ipv4Address new_care_of);
 
   Node& node_;
   Config config_;

@@ -13,17 +13,6 @@ namespace msn {
 // packet, and unwrapping it would recurse once per layer.
 inline constexpr int kMaxDecapDepth = 4;
 
-Ipv4Datagram EncapsulateIpIp(const Ipv4Datagram& inner, Ipv4Address outer_src,
-                             Ipv4Address outer_dst) {
-  Ipv4Datagram outer;
-  outer.header.protocol = IpProto::kIpIp;
-  outer.header.src = outer_src;
-  outer.header.dst = outer_dst;
-  outer.header.ttl = Ipv4Header::kDefaultTtl;
-  outer.payload = inner.Serialize();
-  return outer;
-}
-
 // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
 Packet EncapsulateIpIpPacket(Ipv4Header& outer_header, Packet inner_wire,
                              Ipv4Address outer_src, Ipv4Address outer_dst) {

@@ -18,16 +18,12 @@
 
 namespace msn {
 
-// Wraps `inner` in an outer IPv4 header (protocol 4) addressed outer_src ->
-// outer_dst with a fresh TTL.
-[[nodiscard]] Ipv4Datagram EncapsulateIpIp(const Ipv4Datagram& inner, Ipv4Address outer_src,
-                             Ipv4Address outer_dst);
-
-// Zero-copy encapsulation: prepends the 20-byte outer header directly to the
-// inner wire image (allocation-free when the Packet has headroom and sole
-// ownership). Fills `outer_header` with the parsed form of the prepended
-// header; the return value is the complete outer wire image, ready for
-// IpStack::SendPreformedPacket.
+// Wraps the inner wire image in an outer IPv4 header (protocol 4) addressed
+// outer_src -> outer_dst with a fresh TTL. Zero-copy: the 20-byte outer
+// header is prepended directly (allocation-free when the Packet has headroom
+// and sole ownership). Fills `outer_header` with the parsed form of the
+// prepended header; the return value is the complete outer wire image, ready
+// for IpStack::SendPreformedPacket.
 // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
 [[nodiscard]] Packet EncapsulateIpIpPacket(Ipv4Header& outer_header, Packet inner_wire,
                                            Ipv4Address outer_src, Ipv4Address outer_dst);
@@ -70,7 +66,7 @@ class IpIpTunnelEndpoint {
   uint64_t packets_decapsulated_ = 0;
   uint64_t decapsulation_errors_ = 0;
   // Current nesting level while unwrapping tunnel-in-tunnel packets; bounds
-  // the indirect recursion through InjectReceivedDatagram.
+  // the indirect recursion through InjectReceivedPacket.
   int decap_depth_ = 0;
 };
 

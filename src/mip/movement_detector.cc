@@ -190,7 +190,7 @@ void MovementDetector::Evaluate() {
         if (t.get() == current) {
           continue;
         }
-        if (config_.use_signal && t->have_rssi && t->rssi_dbm < kRssiFloorDbm) {
+        if (t->have_rssi && t->rssi_dbm < kRssiFloorDbm) {
           continue;
         }
         if (fallback == nullptr ||

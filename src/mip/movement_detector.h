@@ -64,11 +64,6 @@ class MovementDetector {
     // every EWMA wiggle. Zero disables the guard. Blind failover off a
     // device that is actually down is always exempt.
     Duration min_residency;
-    // Signal-aware policy (fed by MobilityDriver::ReportSignal): when on, a
-    // link whose last reported RSSI is below kRssiFloorDbm counts as
-    // unusable even while its probes still succeed, so the detector hands
-    // off *before* walking out of coverage.
-    bool use_signal = false;
     // Optional: per-link loss/RTT/RSSI gauges under "mh.movedet.*".
     // Each is looked up by name on its first update, then set through the
     // kept reference.
@@ -79,7 +74,10 @@ class MovementDetector {
   static constexpr double kEwmaAlpha = 0.3;
   // A link is usable below this loss estimate, dead above.
   static constexpr double kUsableThreshold = 0.4;
-  // Under use_signal, a link whose last RSSI is below this is unusable.
+  // Signal-aware policy, on for any link with a ReportSignal feed: a link
+  // whose last reported RSSI is below this counts as unusable even while its
+  // probes still succeed, so the detector hands off *before* walking out of
+  // coverage.
   static constexpr double kRssiFloorDbm = -85.0;
 
   using AttachmentChangeHandler =
@@ -144,7 +142,7 @@ class MovementDetector {
   void Evaluate();
   void SwitchTo(Tracked& target, bool upgrade);
   bool IsUsable(const Tracked& t) const {
-    if (config_.use_signal && t.have_rssi && t.rssi_dbm < kRssiFloorDbm) {
+    if (t.have_rssi && t.rssi_dbm < kRssiFloorDbm) {
       return false;  // Fading signal marks the link unusable pre-emptively.
     }
     return t.loss_ewma < kUsableThreshold;

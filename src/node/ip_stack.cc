@@ -283,12 +283,6 @@ void IpStack::SendDatagram(Ipv4Address src, Ipv4Address dst, IpProto proto,
   SendDatagram(src, dst, proto, std::move(payload), SendOptions{});
 }
 
-void IpStack::SendPreformedDatagram(const Ipv4Datagram& dg, bool forwarding) {
-  Ipv4Header header = dg.header;
-  Packet wire = BuildIpv4Packet(header, dg.payload);
-  DoSend(header, std::move(wire), forwarding, SendOptions{});
-}
-
 // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
 void IpStack::SendPreformedPacket(const Ipv4Header& header, Packet wire, bool forwarding) {
   MSN_ASSERT(header.total_length == wire.size())

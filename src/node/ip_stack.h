@@ -185,13 +185,10 @@ class IpStack {
                     std::vector<uint8_t> payload);
 
   // Re-injects a fully formed datagram into the send path, preserving its
-  // header fields (used when forwarding and by tunnel endpoints). Serializes
-  // once; prefer SendPreformedPacket when the wire image already exists.
-  void SendPreformedDatagram(const Ipv4Datagram& dg, bool forwarding);
-
-  // Zero-copy variant: `wire` is the complete serialized datagram and
-  // `header` its parsed form (header.total_length == wire.size()). The wire
-  // bytes are forwarded/transmitted without reserialization.
+  // header fields (used by tunnel endpoints): `wire` is the complete
+  // serialized datagram and `header` its parsed form
+  // (header.total_length == wire.size()). The wire bytes are
+  // forwarded/transmitted without reserialization.
   // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
   void SendPreformedPacket(const Ipv4Header& header, Packet wire, bool forwarding);
 

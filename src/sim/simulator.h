@@ -65,7 +65,7 @@ class Simulator {
   Time NextEventTime() const { return queue_.NextTime(); }
 
   // Schedule count since construction (lane_scheduled is always 0); read by
-  // perfbench/msn_perfbench.cc and bench_packet_path.
+  // perfbench/msn_perfbench.cc.
   const EventQueue::LaneStats& queue_lane_stats() const { return queue_.lane_stats(); }
 
  private:

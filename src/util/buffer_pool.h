@@ -9,8 +9,7 @@
 // DESIGN.md), so there is no locking.
 //
 // Layering: util must not depend on telemetry, so the pool exposes a raw
-// stats snapshot; src/telemetry/packet_probes.cc registers registry-backed
-// probe gauges over it.
+// stats snapshot that perfbench reads directly.
 #ifndef MSN_SRC_UTIL_BUFFER_POOL_H_
 #define MSN_SRC_UTIL_BUFFER_POOL_H_
 

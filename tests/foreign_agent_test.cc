@@ -134,9 +134,10 @@ TEST_F(ForeignAgentFixture, DepartureForwardingSavesLatePackets) {
   udp.dst_port = 7777;
   udp.payload = {'l', 'a', 't', 'e'};
   inner.payload = udp.Serialize(inner.header.src, inner.header.dst);
-  const Ipv4Datagram late = EncapsulateIpIp(inner, tb_->home_agent_address(),
-                                            Ipv4Address(36, 8, 0, 2));
-  tb_->router->stack().SendPreformedDatagram(late, /*forwarding=*/false);
+  Ipv4Header outer;
+  Packet late = EncapsulateIpIpPacket(outer, BuildIpv4Packet(inner.header, inner.payload),
+                                      tb_->home_agent_address(), Ipv4Address(36, 8, 0, 2));
+  tb_->router->stack().SendPreformedPacket(outer, std::move(late), /*forwarding=*/false);
   tb_->RunFor(Seconds(2));
 
   EXPECT_EQ(got, 1);
@@ -165,9 +166,10 @@ TEST_F(ForeignAgentFixture, WithoutForwardingLatePacketsDie) {
   UdpDatagram udp;
   udp.dst_port = 7777;
   inner.payload = udp.Serialize(inner.header.src, inner.header.dst);
-  const Ipv4Datagram late = EncapsulateIpIp(inner, tb_->home_agent_address(),
-                                            Ipv4Address(36, 8, 0, 2));
-  tb_->router->stack().SendPreformedDatagram(late, /*forwarding=*/false);
+  Ipv4Header outer;
+  Packet late = EncapsulateIpIpPacket(outer, BuildIpv4Packet(inner.header, inner.payload),
+                                      tb_->home_agent_address(), Ipv4Address(36, 8, 0, 2));
+  tb_->router->stack().SendPreformedPacket(outer, std::move(late), /*forwarding=*/false);
   tb_->RunFor(Seconds(2));
 
   EXPECT_EQ(got, 0);

@@ -257,13 +257,13 @@ TEST(FragmentE2eTest, DontFragmentDropsWithIcmpSignal) {
         msg.code == static_cast<uint8_t>(IcmpUnreachableCode::kFragmentationNeeded);
   });
 
-  Ipv4Datagram dg;
-  dg.header.protocol = IpProto::kTcp;
-  dg.header.src = Ipv4Address(10, 0, 0, 1);
-  dg.header.dst = Ipv4Address(10, 0, 0, 2);
-  dg.header.dont_fragment = true;
-  dg.payload.resize(1000);
-  a.stack().SendPreformedDatagram(dg, /*forwarding=*/false);
+  Ipv4Header header;
+  header.protocol = IpProto::kTcp;
+  header.src = Ipv4Address(10, 0, 0, 1);
+  header.dst = Ipv4Address(10, 0, 0, 2);
+  header.dont_fragment = true;
+  Packet wire = BuildIpv4Packet(header, std::vector<uint8_t>(1000));
+  a.stack().SendPreformedPacket(header, std::move(wire), /*forwarding=*/false);
   sim.Run();
 
   EXPECT_EQ(a.stack().counters().drop_fragmentation_needed, 1u);

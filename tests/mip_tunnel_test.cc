@@ -18,23 +18,36 @@ Ipv4Datagram MakeInner() {
   return inner;
 }
 
+// Builds `inner`'s wire image and tunnels it src -> dst; `outer` receives the
+// outer header.
+Packet Tunnel(Ipv4Datagram inner, Ipv4Address src, Ipv4Address dst, Ipv4Header& outer) {
+  return EncapsulateIpIpPacket(outer, BuildIpv4Packet(inner.header, inner.payload), src, dst);
+}
+
+// The IPIP payload of a tunnel wire image: everything after the outer header.
+std::span<const uint8_t> OuterPayload(const Packet& wire) {
+  return wire.span().subspan(Ipv4Header::kSize);
+}
+
 TEST(IpIpTest, EncapsulateAddsExactlyOneHeader) {
   const Ipv4Datagram inner = MakeInner();
-  const Ipv4Datagram outer =
-      EncapsulateIpIp(inner, Ipv4Address(36, 135, 0, 1), Ipv4Address(36, 8, 0, 50));
+  Ipv4Header outer;
+  const Packet wire =
+      Tunnel(inner, Ipv4Address(36, 135, 0, 1), Ipv4Address(36, 8, 0, 50), outer);
 
-  EXPECT_EQ(outer.header.protocol, IpProto::kIpIp);
-  EXPECT_EQ(outer.header.src, Ipv4Address(36, 135, 0, 1));
-  EXPECT_EQ(outer.header.dst, Ipv4Address(36, 8, 0, 50));
+  EXPECT_EQ(outer.protocol, IpProto::kIpIp);
+  EXPECT_EQ(outer.src, Ipv4Address(36, 135, 0, 1));
+  EXPECT_EQ(outer.dst, Ipv4Address(36, 8, 0, 50));
   // The paper's "20 bytes or more" encapsulation overhead: exactly 20 here.
-  EXPECT_EQ(outer.Serialize().size(), inner.Serialize().size() + Ipv4Header::kSize);
+  EXPECT_EQ(wire.size(), inner.Serialize().size() + Ipv4Header::kSize);
+  EXPECT_EQ(outer.total_length, wire.size());
 }
 
 TEST(IpIpTest, DecapsulateRecoversInnerExactly) {
   const Ipv4Datagram inner = MakeInner();
-  const Ipv4Datagram outer =
-      EncapsulateIpIp(inner, Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2));
-  auto recovered = DecapsulateIpIp(outer.payload);
+  Ipv4Header outer;
+  const Packet wire = Tunnel(inner, Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2), outer);
+  auto recovered = DecapsulateIpIp(OuterPayload(wire));
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ(recovered->header.src, inner.header.src);
   EXPECT_EQ(recovered->header.dst, inner.header.dst);
@@ -49,11 +62,11 @@ TEST(IpIpTest, DecapsulateRejectsGarbage) {
 
 TEST(IpIpTest, NestedEncapsulationUnwrapsOneLayerAtATime) {
   const Ipv4Datagram inner = MakeInner();
-  const Ipv4Datagram mid =
-      EncapsulateIpIp(inner, Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2));
-  const Ipv4Datagram outer =
-      EncapsulateIpIp(mid, Ipv4Address(3, 3, 3, 3), Ipv4Address(4, 4, 4, 4));
-  auto layer1 = DecapsulateIpIp(outer.payload);
+  Ipv4Header mid, outer;
+  Packet wire = Tunnel(inner, Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2), mid);
+  wire = EncapsulateIpIpPacket(outer, std::move(wire), Ipv4Address(3, 3, 3, 3),
+                               Ipv4Address(4, 4, 4, 4));
+  auto layer1 = DecapsulateIpIp(OuterPayload(wire));
   ASSERT_TRUE(layer1.has_value());
   EXPECT_EQ(layer1->header.protocol, IpProto::kIpIp);
   auto layer2 = DecapsulateIpIp(layer1->payload);
@@ -91,9 +104,9 @@ TEST_F(TunnelEndpointTest, DecapsulatesAndDeliversInner) {
   inner.header.src = Ipv4Address(9, 9, 9, 9);
   inner.header.dst = Ipv4Address(10, 0, 0, 1);  // Local on this node.
   inner.payload = {1};
-  const Ipv4Datagram outer =
-      EncapsulateIpIp(inner, Ipv4Address(8, 8, 8, 8), Ipv4Address(10, 0, 0, 1));
-  node_.stack().InjectReceivedDatagram(outer, nullptr);
+  Ipv4Header outer;
+  Packet wire = Tunnel(inner, Ipv4Address(8, 8, 8, 8), Ipv4Address(10, 0, 0, 1), outer);
+  node_.stack().InjectReceivedPacket(outer, std::move(wire), nullptr);
   sim_.Run();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(endpoint.packets_decapsulated(), 1u);
@@ -111,9 +124,9 @@ TEST_F(TunnelEndpointTest, InspectorCanVeto) {
   Ipv4Datagram inner;
   inner.header.protocol = IpProto::kTcp;
   inner.header.dst = Ipv4Address(10, 0, 0, 1);
-  const Ipv4Datagram outer =
-      EncapsulateIpIp(inner, Ipv4Address(8, 8, 8, 8), Ipv4Address(10, 0, 0, 1));
-  node_.stack().InjectReceivedDatagram(outer, nullptr);
+  Ipv4Header outer;
+  Packet wire = Tunnel(inner, Ipv4Address(8, 8, 8, 8), Ipv4Address(10, 0, 0, 1), outer);
+  node_.stack().InjectReceivedPacket(outer, std::move(wire), nullptr);
   sim_.Run();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(endpoint.packets_decapsulated(), 0u);

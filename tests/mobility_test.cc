@@ -184,7 +184,6 @@ TEST(MobilityDriverIntegration, WalkAcrossCampusCausesEmergentHandoff) {
   });
 
   MovementDetector::Config det_cfg;
-  det_cfg.use_signal = true;
   det_cfg.min_residency = Seconds(3);
   det_cfg.metrics = &tb.metrics;
   MovementDetector detector(*tb.mobile, det_cfg);

@@ -13,7 +13,6 @@
 #include "src/net/packet.h"
 #include "src/net/packet_arena.h"
 #include "src/sim/event_queue.h"
-#include "src/telemetry/packet_probes.h"
 #include "src/util/buffer_pool.h"
 #include "src/util/byte_buffer.h"
 
@@ -248,25 +247,6 @@ TEST(ChecksumTest, IncrementalUpdateWithUnchangedWordIsIdentity) {
               static_cast<uint16_t>(hc))
         << "hc=" << hc;
   }
-}
-
-// --- Probe gauges ----------------------------------------------------------------
-
-TEST(PacketProbesTest, RegistersPoolAndPacketGauges) {
-  MetricsRegistry registry;
-  RegisterPacketPathProbes(registry);
-  for (const char* name :
-       {"packet.copies", "packet.cow_breaks", "packet.allocations", "pool.misses",
-        "pool.oversize", "pool.released", "pool.outstanding"}) {
-    EXPECT_TRUE(registry.Contains(name)) << name;
-  }
-  Packet::ResetStatsForTest();
-  Packet a = Packet::Copy(Bytes(8));
-  Packet b = a;
-  b.MutableData()[0] = 1;
-  EXPECT_EQ(registry.ReadValue("packet.cow_breaks"), 1.0);
-  // Calling again rebinds rather than aborting on duplicate names.
-  RegisterPacketPathProbes(registry);
 }
 
 // --- EventQueue ordering / cancellation stress ----------------------------------

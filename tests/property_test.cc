@@ -109,10 +109,13 @@ TEST_P(HeaderProperty, EncapsulationIsLossless) {
     }
     const Ipv4Address outer_src(static_cast<uint32_t>(rng.NextU64()));
     const Ipv4Address outer_dst(static_cast<uint32_t>(rng.NextU64()));
-    const Ipv4Datagram outer = EncapsulateIpIp(inner, outer_src, outer_dst);
+    Ipv4Header outer;
+    const Packet wire = EncapsulateIpIpPacket(
+        outer, BuildIpv4Packet(inner.header, inner.payload), outer_src, outer_dst);
     // Exactly one header of overhead.
-    EXPECT_EQ(outer.Serialize().size(), inner.Serialize().size() + Ipv4Header::kSize);
-    auto recovered = DecapsulateIpIp(outer.payload);
+    EXPECT_EQ(wire.size(), inner.Serialize().size() + Ipv4Header::kSize);
+    EXPECT_EQ(outer.total_length, wire.size());
+    auto recovered = DecapsulateIpIp(wire.span().subspan(Ipv4Header::kSize));
     ASSERT_TRUE(recovered.has_value());
     EXPECT_EQ(recovered->Serialize(), inner.Serialize());
   }

@@ -107,8 +107,7 @@ METRIC_PIECE_RE = re.compile(r"^[a-z0-9_.]*$")
 # subsystem starts exporting metrics (the check fuzzer's oracles are the most
 # recent addition).
 METRIC_NAMESPACES = {
-    "check", "dev", "fault", "ha", "ip", "link", "mh", "mobility", "packet",
-    "pool", "repl", "tcp",
+    "check", "dev", "fault", "ha", "ip", "link", "mh", "mobility", "repl", "tcp",
 }
 
 # Registered sub-namespaces (mirrored in tools/validate_bench_json.py).

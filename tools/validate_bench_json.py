@@ -23,8 +23,7 @@ METRIC_TYPES = {"counter", "gauge", "histogram"}
 # every exported metric name must start with ("check" covers the fuzzer's
 # oracle metrics).
 METRIC_NAMESPACES = {
-    "check", "dev", "fault", "ha", "ip", "link", "mh", "mobility", "packet",
-    "pool", "repl", "tcp",
+    "check", "dev", "fault", "ha", "ip", "link", "mh", "mobility", "repl", "tcp",
 }
 # Mirror of the sub-namespace registries in tools/msn_lint.py. Indexed
 # prefixes name one instance per numeric index ("ha.shard.3.bindings"):
