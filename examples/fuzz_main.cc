@@ -7,6 +7,13 @@
 //   fuzz_main --seed 1 --runs 100          # fuzz seeds 1..100
 //   fuzz_main --time-budget 60             # stop after ~60s wall clock
 //   fuzz_main --replay failure.scenario    # re-run a saved scenario
+//   fuzz_main --soak 1..2000               # golden soak: one line per seed
+//
+// --soak runs every seed of the window in this one process, never stops at a
+// failure and never shrinks. It prints one SoakRecord line per seed (verdict,
+// first failing oracle, end-state metric digest, frames carried) and a
+// footer counting failing seeds per oracle; tests/golden/soak_1_2000.txt is
+// its output for seeds 1..2000.
 //
 // Exit code: 0 = no violations, 1 = an oracle fired, 2 = usage/parse error.
 #include <chrono>
@@ -15,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -30,6 +38,8 @@ struct Options {
   int time_budget_sec = 0;  // 0 = unlimited.
   int shrink_runs = 120;
   bool dump = false;  // Print the generated scenario for --seed and exit.
+  uint64_t soak_first = 0;  // --soak FIRST..LAST; 0 = not soaking.
+  uint64_t soak_last = 0;
   std::string log_level;  // trace|debug|info|warn; empty = quiet.
   std::string replay_path;
   std::string out_path = "fuzz_failure.scenario";
@@ -38,7 +48,7 @@ struct Options {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed N] [--runs N] [--time-budget SEC] [--shrink-runs N]\n"
-               "          [--replay FILE] [--out FILE]\n",
+               "          [--replay FILE] [--out FILE] [--soak FIRST..LAST]\n",
                argv0);
 }
 
@@ -69,6 +79,17 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       opts->replay_path = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
       opts->out_path = argv[++i];
+    } else if (arg == "--soak" && i + 1 < argc) {
+      unsigned long long first = 0;
+      unsigned long long last = 0;
+      char tail = 0;
+      if (std::sscanf(argv[++i], "%llu..%llu%c", &first, &last, &tail) != 2 || first == 0 ||
+          last < first) {
+        Usage(argv[0]);
+        return false;
+      }
+      opts->soak_first = first;
+      opts->soak_last = last;
     } else {
       Usage(argv[0]);
       return false;
@@ -97,6 +118,29 @@ int HandleFailure(const msn::RunResult& result, const Options& opts) {
   return 1;
 }
 
+// Prints one line per seed, then per-oracle failure counts. Returns 1 if any
+// seed failed.
+int Soak(const Options& opts) {
+  uint64_t failed = 0;
+  std::map<std::string, uint64_t> per_oracle;
+  for (uint64_t seed = opts.soak_first; seed <= opts.soak_last; ++seed) {
+    const msn::SoakRecord record = msn::SoakOne(seed);
+    std::printf("%s\n", record.ToString().c_str());
+    if (!record.failed_oracles.empty()) {
+      ++failed;
+    }
+    for (const std::string& oracle : record.failed_oracles) {
+      ++per_oracle[oracle];
+    }
+  }
+  std::printf("# seeds %" PRIu64 "..%" PRIu64 ": %" PRIu64 " failed\n", opts.soak_first,
+              opts.soak_last, failed);
+  for (const auto& [oracle, seeds] : per_oracle) {
+    std::printf("# %s %" PRIu64 "\n", oracle.c_str(), seeds);
+  }
+  return failed == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,6 +167,10 @@ int main(int argc, char** argv) {
   if (opts.dump) {
     std::printf("%s", msn::GenerateScenario(opts.seed).ToString().c_str());
     return 0;
+  }
+
+  if (opts.soak_first != 0) {
+    return Soak(opts);
   }
 
   if (!opts.replay_path.empty()) {

@@ -1,6 +1,8 @@
 #include "src/check/fuzzer.h"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -247,6 +249,44 @@ RunResult RunScenario(const ScenarioSpec& spec, const RunOptions& options) {
 
 RunResult FuzzOne(uint64_t seed, const RunOptions& options) {
   return RunScenario(GenerateScenario(seed), options);
+}
+
+std::string SoakRecord::ToString() const {
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "seed=%" PRIu64 " verdict=%s oracle=%s metrics=%016" PRIx64 " frames=%" PRIu64,
+                seed, failed_oracles.empty() ? "pass" : "FAIL",
+                failed_oracles.empty() ? "-" : failed_oracles.front().c_str(), metrics_digest,
+                frames);
+  return line;
+}
+
+SoakRecord SoakOne(uint64_t seed) {
+  SoakRecord record;
+  record.seed = seed;
+  RunOptions options;
+  options.on_complete = [&record](Testbed& tb) {
+    uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis.
+    for (const auto& [name, value] : tb.metrics.ScalarSnapshot()) {
+      if (name.starts_with("check.")) {
+        continue;
+      }
+      if (name.ends_with(".frames_carried")) {
+        record.frames += static_cast<uint64_t>(value);
+      }
+      char line[256];
+      const int n = std::snprintf(line, sizeof(line), "%s=%.17g\n", name.c_str(), value);
+      for (int i = 0; i < n && i < static_cast<int>(sizeof(line)) - 1; ++i) {
+        digest = (digest ^ static_cast<uint8_t>(line[i])) * 1099511628211ull;
+      }
+    }
+    record.metrics_digest = digest;
+  };
+  const RunResult result = FuzzOne(seed, options);
+  for (const auto& [oracle, violation] : result.report.violations) {
+    record.failed_oracles.push_back(oracle);
+  }
+  return record;
 }
 
 }  // namespace msn

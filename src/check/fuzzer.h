@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "src/check/oracles.h"
 #include "src/check/scenario_gen.h"
@@ -48,6 +49,24 @@ struct RunResult {
 
 // GenerateScenario + RunScenario.
 [[nodiscard]] RunResult FuzzOne(uint64_t seed, const RunOptions& options = {});
+
+// One seed's line in the golden soak (`fuzz_main --soak`,
+// tests/golden/soak_1_2000.txt): its verdict, the oracles that fired, an
+// FNV-1a digest of the end-state metric snapshot (check.* excluded, as in the
+// golden trace digests) and the frames every medium carried.
+struct SoakRecord {
+  uint64_t seed = 0;
+  std::vector<std::string> failed_oracles;  // Name-ordered; empty = pass.
+  uint64_t metrics_digest = 0;
+  uint64_t frames = 0;
+
+  // "seed=N verdict=pass|FAIL oracle=<first failing oracle by name, or -> "
+  // "metrics=<16 hex digits> frames=N".
+  [[nodiscard]] std::string ToString() const;
+};
+
+// FuzzOne(seed), reduced to its soak record.
+[[nodiscard]] SoakRecord SoakOne(uint64_t seed);
 
 }  // namespace msn
 
