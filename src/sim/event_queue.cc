@@ -7,18 +7,23 @@
 
 namespace msn {
 
-EventId EventQueue::ScheduleReserved(Time when, uint64_t seq, Callback cb) {
-  MSN_ASSERT(seq < next_seq_) << "sequence number " << seq << " was never reserved";
-  uint32_t slot;
+uint32_t EventQueue::AcquireSlot() {
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-  } else {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
+    return slot;
   }
-  const uint32_t gen = slots_[slot].gen;
-  slots_[slot].cb = std::move(cb);
+  if (slots_opened_ == slot_capacity_) {
+    const uint32_t block_slots = blocks_.empty() ? kFirstBlockSlots : slot_capacity_;
+    blocks_.push_back(std::make_unique<Slot[]>(block_slots));
+    slot_capacity_ += block_slots;
+  }
+  return slots_opened_++;
+}
+
+EventId EventQueue::Push(Time when, uint64_t seq, uint32_t slot) {
+  MSN_ASSERT(seq < next_seq_) << "sequence number " << seq << " was never reserved";
+  const uint32_t gen = SlotAt(slot).gen;
   heap_.push_back(Item{when, seq, slot, gen});
   std::push_heap(heap_.begin(), heap_.end(), After);
   ++lane_stats_.heap_scheduled;
@@ -32,11 +37,12 @@ bool EventQueue::Cancel(EventId id) {
   }
   const uint32_t slot = static_cast<uint32_t>(id.handle_ & 0xffffffff) - 1;
   const uint32_t gen = static_cast<uint32_t>(id.handle_ >> 32);
-  if (slot >= slots_.size() || slots_[slot].gen != gen) {
-    return false;  // Already fired, already cancelled, or never existed.
+  if (slot >= slots_opened_ || SlotAt(slot).gen != gen) {
+    return false;  // Already fired or running, already cancelled, or never existed.
   }
-  ++slots_[slot].gen;
-  slots_[slot].cb.Reset();
+  Slot& s = SlotAt(slot);
+  ++s.gen;
+  s.cb.Reset();
   free_slots_.push_back(slot);
   --live_count_;
   PurgeIfMostlyCancelled();
@@ -49,7 +55,7 @@ void EventQueue::PurgeIfMostlyCancelled() {
   }
   // (when, seq) is a strict total order, so rebuilding the heap from the live
   // items cannot change which one pops next.
-  std::erase_if(heap_, [this](const Item& item) { return slots_[item.slot].gen != item.gen; });
+  std::erase_if(heap_, [this](const Item& item) { return SlotAt(item.slot).gen != item.gen; });
   std::make_heap(heap_.begin(), heap_.end(), After);
 }
 
@@ -71,17 +77,22 @@ Time EventQueue::NextTime() const {
   return heap_.empty() ? Time::Max() : heap_.front().when;
 }
 
-EventQueue::Entry EventQueue::PopNext() {
+bool EventQueue::RunNext(Time deadline, Time& now) {
   DropCancelledHead();
-  MSN_ASSERT(!heap_.empty()) << "PopNext on an empty event queue";
+  if (heap_.empty() || heap_.front().when > deadline) {
+    return false;
+  }
   const uint32_t slot = heap_.front().slot;
-  Entry entry{heap_.front().when, std::move(slots_[slot].cb)};
-  ++slots_[slot].gen;
-  free_slots_.push_back(slot);
+  now = heap_.front().when;
+  Slot& s = SlotAt(slot);
+  ++s.gen;
   --live_count_;
   PopHeapItem();
   PurgeIfMostlyCancelled();
-  return entry;
+  s.cb();
+  s.cb.Reset();
+  free_slots_.push_back(slot);
+  return true;
 }
 
 }  // namespace msn

@@ -1,17 +1,28 @@
 // Priority queue of timed events with stable FIFO ordering for equal
 // timestamps and O(1) generation-checked cancellation.
 //
-// Callbacks are move-only, small-buffer-optimized UniqueFunctions stored
-// inline in a flat slot arena indexed by the heap items — no side hash map,
+// Each event's callback is a move-only, small-buffer-optimized UniqueFunction
+// in a slot of a callback arena indexed by the heap items — no side hash map,
 // and no per-event heap allocation for callbacks that fit the inline buffer.
-// The heap items themselves stay 24-byte PODs so the O(log n) sift moves
-// never touch callback storage (keeping the callback inside the heap item
-// measured ~3x slower on the event microbench). Cancellation bumps the
-// event's slot generation and destroys the callback immediately; the
-// orphaned heap item stays behind until it reaches the top, where it is
-// skipped, or until cancelled items would outnumber live ones, when every
-// cancelled item is purged in one pass. So the heap never holds more than
-// twice the live events, and each cancel costs O(1) amortized.
+// The heap items themselves stay 24-byte PODs, so the O(log n) sift moves
+// never touch callback storage.
+//
+// Slot lifecycle. Schedule takes a slot off the free list (or the next
+// unused one) and constructs the callable straight into it: the capture is
+// moved once, from the caller's lambda into the slot. RunNext pops the heap
+// item, bumps the slot's generation, runs the callback where it lies, then
+// destroys it and frees the slot. Cancel bumps the generation, destroys the
+// callback and frees the slot at once. Slots live in blocks that never move
+// (16, 16, 32, 64, ... slots), so a running callback that schedules enough
+// events to open a new block is not relocated under its own feet. Because
+// the generation is bumped before the call, a running event is no longer
+// pending: cancelling its own id returns false and changes nothing.
+//
+// A cancelled event's orphaned heap item stays behind until it reaches the
+// top, where it is skipped, or until cancelled items would outnumber live
+// ones, when every cancelled item is purged in one pass. So the heap never
+// holds more than twice the live events, and each cancel costs O(1)
+// amortized.
 //
 // Ordering contract (relied on for bit-for-bit deterministic seeded runs):
 // events pop in (time, sequence number). Schedule assigns the next sequence
@@ -30,7 +41,9 @@
 #ifndef MSN_SRC_SIM_EVENT_QUEUE_H_
 #define MSN_SRC_SIM_EVENT_QUEUE_H_
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -55,12 +68,12 @@ class EventId {
 
 class EventQueue {
  public:
-  using Callback = UniqueFunction;
-
-  // Enqueues `cb` to fire at `when`. Events scheduled for the same time fire
-  // in insertion order.
-  EventId Schedule(Time when, Callback cb) {
-    return ScheduleReserved(when, next_seq_++, std::move(cb));
+  // Enqueues the callable `f` (a `void()` lambda or function object) to fire
+  // at `when`, constructing it in its slot. Events scheduled for the same
+  // time fire in insertion order.
+  template <typename F>
+  EventId Schedule(Time when, F&& f) {
+    return ScheduleReserved(when, next_seq_++, std::forward<F>(f));
   }
 
   // Claims the next `n` sequence numbers and returns the first; the block is
@@ -71,8 +84,13 @@ class EventQueue {
     return first;
   }
 
-  // Enqueues `cb` at (when, seq), where `seq` came from ReserveSequence.
-  EventId ScheduleReserved(Time when, uint64_t seq, Callback cb);
+  // Enqueues `f` at (when, seq), where `seq` came from ReserveSequence.
+  template <typename F>
+  EventId ScheduleReserved(Time when, uint64_t seq, F&& f) {
+    const uint32_t slot = AcquireSlot();
+    SlotAt(slot).cb.Emplace(std::forward<F>(f));
+    return Push(when, seq, slot);
+  }
 
   // Cancels a pending event. Returns true if the event was still pending.
   // The callback is destroyed now; its heap item is skipped when it surfaces
@@ -87,12 +105,11 @@ class EventQueue {
   // Time of the earliest pending event; Time::Max() when empty.
   Time NextTime() const;
 
-  // Removes and returns the earliest pending event. Requires !empty().
-  struct Entry {
-    Time when;
-    Callback cb;
-  };
-  Entry PopNext();
+  // Runs the earliest pending event if it fires at or before `deadline`:
+  // sets `now` to its time, then invokes its callback in place. The event
+  // stops being pending before the call (size() excludes it, Cancel of its
+  // id is a no-op). Returns false, running nothing, when no event is due.
+  bool RunNext(Time deadline, Time& now);
 
   // Schedule count since construction, read by perfbench/msn_perfbench.cc.
   struct LaneStats {
@@ -111,8 +128,19 @@ class EventQueue {
 
   struct Slot {
     uint32_t gen = 0;
-    Callback cb;
+    UniqueFunction cb;
   };
+
+  // Block b holds slots [8 << b, 16 << b) for b >= 1 and [0, 16) for b = 0,
+  // so each block after the first doubles the arena.
+  static constexpr uint32_t kFirstBlockSlots = 16;
+
+  Slot& SlotAt(uint32_t slot) {
+    const uint32_t block = static_cast<uint32_t>(std::bit_width(slot / kFirstBlockSlots));
+    const uint32_t first = block == 0 ? 0 : (kFirstBlockSlots / 2) << block;
+    return blocks_[block][slot - first];
+  }
+  const Slot& SlotAt(uint32_t slot) const { return const_cast<EventQueue*>(this)->SlotAt(slot); }
 
   // Min-heap comparator: true when `a` fires after `b`.
   static bool After(const Item& a, const Item& b) {
@@ -122,9 +150,13 @@ class EventQueue {
     return a.seq > b.seq;
   }
 
+  // A slot with an empty callback, off the free list or freshly opened.
+  uint32_t AcquireSlot();
+  // Queues the heap item for the callback just built in `slot`.
+  EventId Push(Time when, uint64_t seq, uint32_t slot);
   // True when the item at the top of the heap was cancelled.
   bool TopIsTombstone() const {
-    return slots_[heap_.front().slot].gen != heap_.front().gen;
+    return SlotAt(heap_.front().slot).gen != heap_.front().gen;
   }
   void DropCancelledHead();
   void PopHeapItem();
@@ -133,11 +165,14 @@ class EventQueue {
 
   std::vector<Item> heap_;
   LaneStats lane_stats_;
-  // Callback arena. A generation mismatch between a Slot and an Item marks
-  // that item cancelled. Slots return to the free list as soon as the
-  // generation is bumped (Cancel or pop) — stale heap items can never match
-  // the reissued slot because their generation is behind.
-  std::vector<Slot> slots_;
+  // Callback arena in blocks that never move. A generation mismatch between
+  // a Slot and an Item marks that item cancelled. A slot returns to the free
+  // list once its generation is bumped and its callback destroyed (Cancel,
+  // or RunNext after the call); stale heap items can never match the
+  // reissued slot because their generation is behind.
+  std::vector<std::unique_ptr<Slot[]>> blocks_;
+  uint32_t slots_opened_ = 0;
+  uint32_t slot_capacity_ = 0;
   std::vector<uint32_t> free_slots_;
   uint64_t next_seq_ = 1;
   size_t live_count_ = 0;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/util/assert.h"
 #include "src/util/logging.h"
 
 namespace msn {
@@ -21,32 +20,10 @@ Simulator::~Simulator() {
   }
 }
 
-EventId Simulator::Schedule(Duration delay, EventQueue::Callback cb) {
-  if (delay < Duration()) {
-    delay = Duration();
-  }
-  return queue_.Schedule(now_ + delay, std::move(cb));
-}
-
-EventId Simulator::ScheduleAt(Time when, EventQueue::Callback cb) {
-  if (when < now_) {
-    when = now_;
-  }
-  return queue_.Schedule(when, std::move(cb));
-}
-
-EventId Simulator::ScheduleReserved(Time when, uint64_t seq, EventQueue::Callback cb) {
-  MSN_ASSERT(when >= now_) << "reserved event at " << when.ToString() << " is in the past";
-  return queue_.ScheduleReserved(when, seq, std::move(cb));
-}
-
 uint64_t Simulator::RunInternal(Time deadline) {
   stopped_ = false;
   uint64_t executed = 0;
-  while (!stopped_ && !queue_.empty() && queue_.NextTime() <= deadline) {
-    EventQueue::Entry entry = queue_.PopNext();
-    now_ = entry.when;
-    entry.cb();
+  while (!stopped_ && queue_.RunNext(deadline, now_)) {
     ++executed;
     ++events_executed_;
   }

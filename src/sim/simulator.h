@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/time.h"
+#include "src/util/assert.h"
 #include "src/util/rng.h"
 
 namespace msn {
@@ -27,9 +29,18 @@ class Simulator {
   Time Now() const { return now_; }
   Rng& rng() { return rng_; }
 
-  // Schedules `cb` to run `delay` after the current time (>= 0).
-  EventId Schedule(Duration delay, EventQueue::Callback cb);
-  EventId ScheduleAt(Time when, EventQueue::Callback cb);
+  // Schedules the callable `f` to run `delay` after the current time
+  // (negative delays clamp to 0). `f` is built straight into its event slot
+  // (event_queue.h).
+  template <typename F>
+  EventId Schedule(Duration delay, F&& f) {
+    return queue_.Schedule(delay < Duration() ? now_ : now_ + delay, std::forward<F>(f));
+  }
+  // As Schedule, at an absolute time (past times clamp to Now()).
+  template <typename F>
+  EventId ScheduleAt(Time when, F&& f) {
+    return queue_.Schedule(when < now_ ? now_ : when, std::forward<F>(f));
+  }
   bool Cancel(EventId id) { return queue_.Cancel(id); }
 
   // Reserved sequence numbers (event_queue.h): ReserveSequence claims the
@@ -38,7 +49,11 @@ class Simulator {
   // running event). Lets an owner keep a single pending event for a series
   // whose members must fire where separately scheduled events would have.
   uint64_t ReserveSequence(uint64_t n) { return queue_.ReserveSequence(n); }
-  EventId ScheduleReserved(Time when, uint64_t seq, EventQueue::Callback cb);
+  template <typename F>
+  EventId ScheduleReserved(Time when, uint64_t seq, F&& f) {
+    MSN_ASSERT(when >= now_) << "reserved event at " << when.ToString() << " is in the past";
+    return queue_.ScheduleReserved(when, seq, std::forward<F>(f));
+  }
 
   // Runs until the queue drains or Stop() is called. Returns the number of
   // events executed.

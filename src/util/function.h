@@ -1,9 +1,10 @@
 // UniqueFunction: a move-only `void()` callable with small-buffer storage.
 //
-// The event queue stores one callback per scheduled event directly inside its
-// heap items. std::function is copyable, which forces every capture to be
-// copyable and (for most captures) heap-allocates; this wrapper accepts
-// move-only captures (Packet, unique_ptr, sockets) and keeps callables up to
+// The event queue keeps one per scheduled event in a slot that never moves,
+// builds the callable there with Emplace and runs it in place (DESIGN.md
+// §18). std::function is copyable, which forces every capture to be copyable
+// and (for most captures) heap-allocates; this wrapper accepts move-only
+// captures (Packet, unique_ptr, sockets) and keeps callables up to
 // kInlineBytes inline, so the common scheduling path does not allocate.
 #ifndef MSN_SRC_UTIL_FUNCTION_H_
 #define MSN_SRC_UTIL_FUNCTION_H_
@@ -28,16 +29,7 @@ class UniqueFunction {
                 !std::is_same_v<std::decay_t<F>, UniqueFunction> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   UniqueFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
-      ops_ = &kHeapOps<Fn>;
-    }
+    Emplace(std::forward<F>(f));
   }
 
   UniqueFunction(UniqueFunction&& other) noexcept { MoveFrom(other); }
@@ -63,6 +55,27 @@ class UniqueFunction {
     if (ops_ != nullptr) {
       ops_->destroy(storage_);
       ops_ = nullptr;
+    }
+  }
+
+  // Replaces the held callable with one constructed in place from `f`: a
+  // single move (or copy, for an lvalue) of the capture. An rvalue
+  // UniqueFunction is taken over, not wrapped.
+  template <typename F>
+  void Emplace(F&& f) {
+    using Fn = std::decay_t<F>;
+    Reset();
+    if constexpr (std::is_same_v<Fn, UniqueFunction>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "Emplace takes a UniqueFunction by rvalue");
+      MoveFrom(f);
+    } else if constexpr (sizeof(Fn) <= kInlineBytes &&
+                         alignof(Fn) <= alignof(std::max_align_t) &&
+                         std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
+      ops_ = &kHeapOps<Fn>;
     }
   }
 

@@ -288,8 +288,10 @@ TEST(EventQueueStressTest, RandomizedOrderingAndCancellation) {
     q.Schedule(Time::FromNanos(200), [&late_fires] { ++late_fires; });
   });
 
-  while (!q.empty()) {
-    q.PopNext().cb();
+  Time now;
+  size_t ran = 0;
+  while (q.RunNext(Time::Max(), now)) {
+    ++ran;
   }
 
   size_t expected = 0;
@@ -300,6 +302,8 @@ TEST(EventQueueStressTest, RandomizedOrderingAndCancellation) {
   }
   EXPECT_EQ(fired.size(), expected);
   EXPECT_EQ(late_fires, 1);
+  EXPECT_EQ(ran, expected + 2);  // Plus the rescheduling event and its late one.
+  EXPECT_EQ(now, Time::FromNanos(200));
 
   // (when, seq) order: timestamps non-decreasing, and FIFO within a tie
   // (schedule index strictly increasing inside each timestamp group).

@@ -1,6 +1,7 @@
 // Unit tests for src/sim: time types, event queue, simulator, periodic tasks.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -48,15 +49,24 @@ TEST(TimeTest, ToStringAdaptiveUnits) {
 
 // --- EventQueue --------------------------------------------------------------------
 
+// Runs every pending event, including those the callbacks schedule, and
+// returns how many ran.
+int RunAll(EventQueue& q) {
+  int ran = 0;
+  Time now;
+  while (q.RunNext(Time::Max(), now)) {
+    ++ran;
+  }
+  return ran;
+}
+
 TEST(EventQueueTest, FiresInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
   q.Schedule(Time::FromNanos(30), [&] { order.push_back(3); });
   q.Schedule(Time::FromNanos(10), [&] { order.push_back(1); });
   q.Schedule(Time::FromNanos(20), [&] { order.push_back(2); });
-  while (!q.empty()) {
-    q.PopNext().cb();
-  }
+  RunAll(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -66,9 +76,7 @@ TEST(EventQueueTest, FifoForEqualTimestamps) {
   for (int i = 0; i < 5; ++i) {
     q.Schedule(Time::FromNanos(100), [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) {
-    q.PopNext().cb();
-  }
+  RunAll(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -109,9 +117,7 @@ TEST(EventQueueTest, ScheduleAtDrainingTimeFiresAfterOlderSameTimeEvents) {
     q.Schedule(Time::FromNanos(10), [&] { order.push_back(3); });
   });
   q.Schedule(Time::FromNanos(10), [&] { order.push_back(1); });
-  while (!q.empty()) {
-    q.PopNext().cb();
-  }
+  RunAll(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
@@ -125,9 +131,7 @@ TEST(EventQueueTest, LaterTimestampsStayOrdered) {
   });
   q.Schedule(Time::FromNanos(20), [&] { order.push_back(3); });
   q.Schedule(Time::FromNanos(10), [&] { order.push_back(0); });
-  while (!q.empty()) {
-    q.PopNext().cb();
-  }
+  RunAll(q);
   // t=10 events pop first even though one was scheduled after a t=20 event;
   // the two t=20 events keep schedule order.
   EXPECT_EQ(order, (std::vector<int>{1, 0, 3, 2, 4}));
@@ -143,9 +147,7 @@ TEST(EventQueueTest, CancelSameTimeEventMidDrain) {
     EXPECT_TRUE(q.Cancel(doomed));
     EXPECT_FALSE(q.Cancel(doomed));
   });
-  while (!q.empty()) {
-    q.PopNext().cb();
-  }
+  RunAll(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
@@ -159,9 +161,7 @@ TEST(EventQueueTest, NextTimeSkipsCancelledSameTimeHead) {
     q.Schedule(Time::FromNanos(10), [] {});
     EXPECT_EQ(q.NextTime(), Time::FromNanos(10));
   });
-  while (!q.empty()) {
-    q.PopNext().cb();
-  }
+  RunAll(q);
 }
 
 // A reserved sequence number places an event exactly where a Schedule call at
@@ -186,9 +186,7 @@ TEST(EventQueueTest, ReservedSequenceFiresWhereScheduleWouldHave) {
   });
   q.ScheduleReserved(t, first, [&] { order.push_back(1); });
   EXPECT_EQ(q.size(), 5u);
-  while (!q.empty()) {
-    q.PopNext().cb();
-  }
+  RunAll(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
   // Reservation never schedules anything; every spent number counts once.
   EXPECT_EQ(q.lane_stats().heap_scheduled, 7u);
@@ -327,8 +325,8 @@ TEST(EventQueueTest, BurstStressMatchesReferenceQueue) {
     }
 
     int guard = 0;
-    while (!q.empty() && guard++ < 10000) {
-      q.PopNext().cb();
+    Time now;
+    while (guard++ < 10000 && q.RunNext(Time::Max(), now)) {
       ASSERT_LE(q.heap_items(), 2 * q.size()) << "seed " << seed;
     }
     ASSERT_LT(guard, 10000) << "runaway event cascade, seed " << seed;
@@ -399,12 +397,12 @@ TEST(EventQueueTest, CancelledItemsNeverOutnumberLiveOnes) {
     drained.Cancel(id);
   }
   EXPECT_EQ(drained.heap_items(), 10u);
-  drained.PopNext();
+  Time now;
+  ASSERT_TRUE(drained.RunNext(Time::Max(), now));
   EXPECT_EQ(drained.size(), 4u);
   EXPECT_EQ(drained.heap_items(), 4u);
 
-  while (!q.empty()) {
-    q.PopNext().cb();
+  while (q.RunNext(Time::Max(), now)) {
     ASSERT_LE(q.heap_items(), 2 * q.size());
   }
   EXPECT_EQ(q.heap_items(), 0u);
@@ -481,6 +479,99 @@ TEST(SimulatorTest, CancelScheduledEvent) {
   EXPECT_TRUE(sim.Cancel(id));
   sim.Run();
   EXPECT_FALSE(fired);
+}
+
+// Tallies what happens to one captured object on its way through the queue.
+struct CaptureLog {
+  int moves = 0;
+  int copies = 0;
+  int destroyed = 0;  // Destructions of an instance that was not moved from.
+};
+
+class CountedCapture {
+ public:
+  explicit CountedCapture(CaptureLog* log) : log_(log) {}
+  CountedCapture(const CountedCapture& other) : log_(other.log_) { ++log_->copies; }
+  CountedCapture(CountedCapture&& other) noexcept : log_(other.log_) {
+    other.moved_from_ = true;
+    ++log_->moves;
+  }
+  CountedCapture& operator=(const CountedCapture&) = delete;
+  CountedCapture& operator=(CountedCapture&&) = delete;
+  ~CountedCapture() {
+    if (!moved_from_) {
+      ++log_->destroyed;
+    }
+  }
+
+ private:
+  CaptureLog* log_;
+  bool moved_from_ = false;
+};
+
+// The capture is built into its event slot with one move, runs there, and is
+// destroyed once, after it ran.
+TEST(SimulatorTest, CallbackMovedOncePerEvent) {
+  Simulator sim;
+  CaptureLog log;
+  bool ran = false;
+  sim.Schedule(Milliseconds(1), [capture = CountedCapture(&log), &log, &ran] {
+    EXPECT_EQ(log.destroyed, 0);
+    ran = true;
+  });
+  EXPECT_EQ(log.moves, 1);
+  EXPECT_EQ(log.copies, 0);
+  EXPECT_EQ(log.destroyed, 0);
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(log.moves, 1);
+  EXPECT_EQ(log.copies, 0);
+  EXPECT_EQ(log.destroyed, 1);
+}
+
+// A running callback stays where it is while it schedules enough events to
+// open several new slot blocks; its captures are still its own afterwards.
+// (A slot that moved would re-run the capture's move constructor here, and
+// the ASan build would flag the read of the old storage.)
+TEST(SimulatorTest, RunningCallbackStaysPutWhileSlotsGrow) {
+  Simulator sim;
+  CaptureLog log;
+  std::array<uint64_t, 4> words = {0x0123456789abcdefull, 42, 7, 1996};
+  uint64_t sum_after = 0;
+  int scheduled_fired = 0;
+  sim.Schedule(Milliseconds(1), [capture = CountedCapture(&log), words, &sim, &log, &sum_after,
+                                 &scheduled_fired] {
+    for (int i = 0; i < 1000; ++i) {
+      sim.Schedule(Milliseconds(1), [&scheduled_fired] { ++scheduled_fired; });
+    }
+    EXPECT_EQ(log.moves, 1);
+    EXPECT_EQ(log.destroyed, 0);
+    sum_after = words[0] + words[1] + words[2] + words[3];
+  });
+  sim.Run();
+  EXPECT_EQ(sum_after, words[0] + words[1] + words[2] + words[3]);
+  EXPECT_EQ(scheduled_fired, 1000);
+  EXPECT_EQ(log.moves, 1);
+  EXPECT_EQ(log.destroyed, 1);
+}
+
+// The running event is no longer pending: cancelling its own id is a no-op
+// that returns false, and the callback runs to completion.
+TEST(SimulatorTest, RunningEventCannotCancelItself) {
+  Simulator sim;
+  CaptureLog log;
+  EventId self;
+  bool finished = false;
+  self = sim.Schedule(Milliseconds(1), [capture = CountedCapture(&log), &sim, &self, &log,
+                                        &finished] {
+    EXPECT_FALSE(sim.Cancel(self));
+    EXPECT_EQ(sim.pending_events(), 0u);
+    EXPECT_EQ(log.destroyed, 0);
+    finished = true;
+  });
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(log.destroyed, 1);
 }
 
 TEST(SimulatorTest, DeterministicAcrossSameSeed) {
