@@ -12,12 +12,7 @@ namespace msn {
 
 Packet::Stats Packet::stats_;
 
-void Packet::Unref() {
-  PacketStorage* s = storage_;
-  storage_ = nullptr;
-  if (s == nullptr || --s->refs != 0) {
-    return;
-  }
+void Packet::ReleaseLast(PacketStorage* s) {
   if (s->arena != nullptr) {
     s->arena->Recycle(s);
     return;
@@ -27,50 +22,6 @@ void Packet::Unref() {
   }
   delete s;
 }
-
-Packet::Packet(const Packet& other)
-    : storage_(other.storage_), offset_(other.offset_), len_(other.len_) {
-  if (storage_ != nullptr) {
-    ++storage_->refs;
-  }
-}
-
-Packet& Packet::operator=(const Packet& other) {
-  if (this == &other) {
-    return *this;
-  }
-  if (other.storage_ != nullptr) {
-    ++other.storage_->refs;
-  }
-  Unref();
-  storage_ = other.storage_;
-  offset_ = other.offset_;
-  len_ = other.len_;
-  return *this;
-}
-
-Packet::Packet(Packet&& other) noexcept
-    : storage_(other.storage_), offset_(other.offset_), len_(other.len_) {
-  other.storage_ = nullptr;
-  other.offset_ = 0;
-  other.len_ = 0;
-}
-
-Packet& Packet::operator=(Packet&& other) noexcept {
-  if (this == &other) {
-    return *this;
-  }
-  Unref();
-  storage_ = other.storage_;
-  offset_ = other.offset_;
-  len_ = other.len_;
-  other.storage_ = nullptr;
-  other.offset_ = 0;
-  other.len_ = 0;
-  return *this;
-}
-
-Packet::~Packet() { Unref(); }
 
 Packet::Packet(std::vector<uint8_t> bytes) {
   len_ = bytes.size();
@@ -97,10 +48,6 @@ Packet Packet::Copy(std::span<const uint8_t> bytes, size_t headroom) {
   }
   ++stats_.copies;
   return p;
-}
-
-const uint8_t* Packet::Base() const {
-  return storage_ != nullptr ? storage_->bytes.data() : nullptr;
 }
 
 long Packet::storage_use_count() const {

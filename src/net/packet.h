@@ -33,11 +33,12 @@
 #include <initializer_list>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-namespace msn {
+#include "src/net/packet_arena.h"
 
-struct PacketStorage;
+namespace msn {
 
 class Packet {
  public:
@@ -54,12 +55,41 @@ class Packet {
 
   Packet() = default;
 
-  // Manual refcount discipline over the intrusive storage node.
-  Packet(const Packet& other);
-  Packet& operator=(const Packet& other);
-  Packet(Packet&& other) noexcept;
-  Packet& operator=(Packet&& other) noexcept;
-  ~Packet();
+  // Manual refcount discipline over the intrusive storage node. Inline: a
+  // Packet handle is copied, moved and dropped on every hop and in every
+  // event capture that carries one.
+  Packet(const Packet& other)
+      : storage_(other.storage_), offset_(other.offset_), len_(other.len_) {
+    if (storage_ != nullptr) {
+      ++storage_->refs;
+    }
+  }
+  Packet& operator=(const Packet& other) {
+    if (this != &other) {
+      if (other.storage_ != nullptr) {
+        ++other.storage_->refs;
+      }
+      Unref();
+      storage_ = other.storage_;
+      offset_ = other.offset_;
+      len_ = other.len_;
+    }
+    return *this;
+  }
+  Packet(Packet&& other) noexcept
+      : storage_(std::exchange(other.storage_, nullptr)),
+        offset_(std::exchange(other.offset_, 0)),
+        len_(std::exchange(other.len_, 0)) {}
+  Packet& operator=(Packet&& other) noexcept {
+    if (this != &other) {
+      Unref();
+      storage_ = std::exchange(other.storage_, nullptr);
+      offset_ = std::exchange(other.offset_, 0);
+      len_ = std::exchange(other.len_, 0);
+    }
+    return *this;
+  }
+  ~Packet() { Unref(); }
 
   // Adopts an existing vector as storage — zero-copy. Implicit so existing
   // `frame.payload = Serialize()` producer sites keep working.
@@ -130,9 +160,18 @@ class Packet {
   Packet(PacketStorage* storage, size_t offset, size_t len)
       : storage_(storage), offset_(offset), len_(len) {}
 
-  const uint8_t* Base() const;
+  const uint8_t* Base() const { return storage_ != nullptr ? storage_->bytes.data() : nullptr; }
   // Drops this packet's reference, recycling the node when it was the last.
-  void Unref();
+  void Unref() {
+    PacketStorage* s = storage_;
+    storage_ = nullptr;
+    if (s != nullptr && --s->refs == 0) {
+      ReleaseLast(s);
+    }
+  }
+  // Recycles (arena node) or frees (heap node) storage whose last reference
+  // just went.
+  static void ReleaseLast(PacketStorage* s);
   // Replaces storage_ with a unique arena-backed copy of the visible bytes,
   // keeping kDefaultHeadroom in front. `shared` routes the copy to the right
   // stats bucket.
