@@ -251,6 +251,21 @@ RunResult FuzzOne(uint64_t seed, const RunOptions& options) {
   return RunScenario(GenerateScenario(seed), options);
 }
 
+uint64_t MetricsDigest(const MetricsRegistry& metrics) {
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis.
+  for (const auto& [name, value] : metrics.ScalarSnapshot()) {
+    if (name.starts_with("check.")) {
+      continue;
+    }
+    char line[256];
+    const int n = std::snprintf(line, sizeof(line), "%s=%.17g\n", name.c_str(), value);
+    for (int i = 0; i < n && i < static_cast<int>(sizeof(line)) - 1; ++i) {
+      digest = (digest ^ static_cast<uint8_t>(line[i])) * 1099511628211ull;
+    }
+  }
+  return digest;
+}
+
 std::string SoakRecord::ToString() const {
   char line[256];
   std::snprintf(line, sizeof(line),
@@ -266,21 +281,12 @@ SoakRecord SoakOne(uint64_t seed) {
   record.seed = seed;
   RunOptions options;
   options.on_complete = [&record](Testbed& tb) {
-    uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis.
+    record.metrics_digest = MetricsDigest(tb.metrics);
     for (const auto& [name, value] : tb.metrics.ScalarSnapshot()) {
-      if (name.starts_with("check.")) {
-        continue;
-      }
       if (name.ends_with(".frames_carried")) {
         record.frames += static_cast<uint64_t>(value);
       }
-      char line[256];
-      const int n = std::snprintf(line, sizeof(line), "%s=%.17g\n", name.c_str(), value);
-      for (int i = 0; i < n && i < static_cast<int>(sizeof(line)) - 1; ++i) {
-        digest = (digest ^ static_cast<uint8_t>(line[i])) * 1099511628211ull;
-      }
     }
-    record.metrics_digest = digest;
   };
   const RunResult result = FuzzOne(seed, options);
   for (const auto& [oracle, violation] : result.report.violations) {

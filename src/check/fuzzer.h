@@ -50,10 +50,14 @@ struct RunResult {
 // GenerateScenario + RunScenario.
 [[nodiscard]] RunResult FuzzOne(uint64_t seed, const RunOptions& options = {});
 
+// FNV-1a digest of the end-state metrics: one "name=value" line per metric
+// outside check.* (the oracle harness's own bookkeeping), in name order. The
+// golden trace digests and the golden soak both pin it.
+[[nodiscard]] uint64_t MetricsDigest(const MetricsRegistry& metrics);
+
 // One seed's line in the golden soak (`fuzz_main --soak`,
-// tests/golden/soak_1_2000.txt): its verdict, the oracles that fired, an
-// FNV-1a digest of the end-state metric snapshot (check.* excluded, as in the
-// golden trace digests) and the frames every medium carried.
+// tests/golden/soak_1_2000.txt): its verdict, the oracles that fired, its
+// MetricsDigest and the frames every medium carried.
 struct SoakRecord {
   uint64_t seed = 0;
   std::vector<std::string> failed_oracles;  // Name-ordered; empty = pass.

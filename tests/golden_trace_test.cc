@@ -72,7 +72,7 @@ std::string TraceLine(const char* dev_name, const EthernetFrame& frame,
 struct Capture {
   uint64_t frames = 0;
   uint64_t trace = kFnvOffset;
-  uint64_t metrics = kFnvOffset;
+  uint64_t metrics = 0;
   bool failed = false;
 };
 
@@ -95,17 +95,7 @@ Capture RunCaptured(const ScenarioSpec& spec) {
     }
     tb.ch_dev->SetTap(tap_for("ch"));
   };
-  options.on_complete = [&cap](Testbed& tb) {
-    for (const auto& [name, value] : tb.metrics.ScalarSnapshot()) {
-      // check.* is the oracle harness's own bookkeeping, not network behavior.
-      if (name.starts_with("check.")) {
-        continue;
-      }
-      char line[256];
-      std::snprintf(line, sizeof(line), "%s=%.17g\n", name.c_str(), value);
-      cap.metrics = Fnv1a(cap.metrics, line);
-    }
-  };
+  options.on_complete = [&cap](Testbed& tb) { cap.metrics = MetricsDigest(tb.metrics); };
   cap.failed = RunScenario(spec, options).failed();
   return cap;
 }
