@@ -258,9 +258,9 @@ uint64_t MetricsDigest(const MetricsRegistry& metrics) {
       continue;
     }
     char line[256];
-    const int n = std::snprintf(line, sizeof(line), "%s=%.17g\n", name.c_str(), value);
-    for (int i = 0; i < n && i < static_cast<int>(sizeof(line)) - 1; ++i) {
-      digest = (digest ^ static_cast<uint8_t>(line[i])) * 1099511628211ull;
+    std::snprintf(line, sizeof(line), "%s=%.17g\n", name.c_str(), value);
+    for (const char* c = line; *c != '\0'; ++c) {
+      digest = (digest ^ static_cast<uint8_t>(*c)) * 1099511628211ull;
     }
   }
   return digest;

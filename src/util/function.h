@@ -59,18 +59,14 @@ class UniqueFunction {
   }
 
   // Replaces the held callable with one constructed in place from `f`: a
-  // single move (or copy, for an lvalue) of the capture. An rvalue
-  // UniqueFunction is taken over, not wrapped.
+  // single move (or copy, for an lvalue) of the capture.
   template <typename F>
   void Emplace(F&& f) {
     using Fn = std::decay_t<F>;
+    static_assert(!std::is_same_v<Fn, UniqueFunction>, "move-assign a UniqueFunction instead");
     Reset();
-    if constexpr (std::is_same_v<Fn, UniqueFunction>) {
-      static_assert(!std::is_lvalue_reference_v<F>, "Emplace takes a UniqueFunction by rvalue");
-      MoveFrom(f);
-    } else if constexpr (sizeof(Fn) <= kInlineBytes &&
-                         alignof(Fn) <= alignof(std::max_align_t) &&
-                         std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
     } else {
