@@ -2,6 +2,8 @@
 // renewal, policy routing decisions, and the two-roles rule.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/mip/calibration.h"
 #include "src/node/udp.h"
 #include "src/topo/testbed.h"
@@ -77,6 +79,22 @@ TEST_F(MobileHostFixture, SupersededAttachReportsFailure) {
   EXPECT_FALSE(first_result);
   EXPECT_TRUE(second_result);
   EXPECT_EQ(tb_->mobile->care_of(), Ipv4Address(36, 8, 0, 51));
+
+  // A cold switch superseded while its device is still coming up reports
+  // failure exactly once, and the switch that replaced it completes.
+  std::vector<bool> cold_results;
+  tb_->mobile->ColdSwitchTo(tb_->WirelessAttachment(60),
+                            [&](bool ok) { cold_results.push_back(ok); });
+  tb_->RunFor(Milliseconds(50));
+  ASSERT_EQ(tb_->mh_radio->state(), NetDevice::State::kBringingUp);
+  EXPECT_EQ(tb_->mobile->switch_phase(), MobileHost::SwitchPhase::kBringingUp);
+  bool replacement_result = false;
+  tb_->mobile->ColdSwitchTo(tb_->WiredAttachment(52), [&](bool ok) { replacement_result = ok; });
+  tb_->RunFor(Seconds(5));
+  EXPECT_EQ(cold_results, std::vector<bool>{false});
+  EXPECT_TRUE(replacement_result);
+  EXPECT_EQ(tb_->mobile->switch_phase(), MobileHost::SwitchPhase::kSettled);
+  EXPECT_EQ(tb_->mobile->care_of(), Ipv4Address(36, 8, 0, 52));
 }
 
 TEST_F(MobileHostFixture, AutoRenewalKeepsBindingAlive) {
