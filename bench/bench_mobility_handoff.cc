@@ -84,11 +84,10 @@ void RunCell(Cell& cell, uint64_t seed, BenchReport* report) {
   detector.AddCandidate({tb.WirelessAttachment(50), /*preference=*/1});
 
   MobilityDriver::Config drv_cfg;
-  drv_cfg.detector = &detector;
   drv_cfg.metrics = &tb.metrics;
-  MobilityDriver driver(*tb.mobile, std::move(map), std::move(model), drv_cfg);
-  driver.AddBinding(tb.WiredMobilityBinding(&inject_wired, 50));
-  driver.AddBinding(tb.RadioMobilityBinding(&inject_radio, 50));
+  MobilityDriver driver(*tb.mobile, detector, std::move(map), std::move(model), drv_cfg);
+  driver.AddBinding(tb.WiredMobilityBinding(&inject_wired));
+  driver.AddBinding(tb.RadioMobilityBinding(&inject_radio));
   driver.Start();
   detector.Start();
 

@@ -58,11 +58,11 @@ int main() {
   });
 
   MobilityDriver::Config dc;
-  dc.detector = &detector;  // RSSI feed: hand off on fading signal, before probes die.
   dc.metrics = &tb.metrics;
-  MobilityDriver driver(*tb.mobile, std::move(map), std::move(walk), dc);
-  driver.AddBinding(tb.WiredMobilityBinding(&inject_wired, 50));
-  driver.AddBinding(tb.RadioMobilityBinding(&inject_radio, 50));
+  // RSSI and coverage feed: hand off on fading signal, before probes die.
+  MobilityDriver driver(*tb.mobile, detector, std::move(map), std::move(walk), dc);
+  driver.AddBinding(tb.WiredMobilityBinding(&inject_wired));
+  driver.AddBinding(tb.RadioMobilityBinding(&inject_radio));
   driver.Start();
   detector.Start();
 

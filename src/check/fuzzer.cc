@@ -200,12 +200,11 @@ RunResult RunScenario(const ScenarioSpec& spec, const RunOptions& options) {
     detector->AddCandidate({tb.WirelessAttachment(host_index), /*preference=*/1});
 
     MobilityDriver::Config drv_cfg;
-    drv_cfg.detector = detector.get();
     drv_cfg.metrics = &tb.metrics;
-    mobility = std::make_unique<MobilityDriver>(*tb.mobile, std::move(map), std::move(model),
-                                                drv_cfg);
-    mobility->AddBinding(tb.WiredMobilityBinding(&inject_wired, host_index));
-    mobility->AddBinding(tb.RadioMobilityBinding(&inject_radio, host_index));
+    mobility = std::make_unique<MobilityDriver>(*tb.mobile, *detector, std::move(map),
+                                                std::move(model), drv_cfg);
+    mobility->AddBinding(tb.WiredMobilityBinding(&inject_wired));
+    mobility->AddBinding(tb.RadioMobilityBinding(&inject_radio));
     tb.sim.Schedule(Milliseconds(2500), [&mobility] { mobility->Start(); });
     tb.sim.Schedule(Milliseconds(3500), [&detector] { detector->Start(); });
   }

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/telemetry/metrics.h"
+#include "src/util/assert.h"
 #include "src/util/logging.h"
 
 namespace msn {
@@ -29,8 +30,8 @@ void NetDevice::BringUp(std::function<void()> done) {
     return;
   }
   if (state_ == State::kBringingUp) {
-    // A second caller piggybacks on the in-flight bring-up by polling at the
-    // same deadline; keep it simple and just schedule after the mean time.
+    // The new generation below invalidates the bring-up in flight: its
+    // `done` never runs, and the delay is drawn afresh.
     MSN_WARN("link", "%s: BringUp while already bringing up", name_.c_str());
   }
   state_ = State::kBringingUp;
@@ -50,6 +51,11 @@ void NetDevice::BringUp(std::function<void()> done) {
       done();
     }
   });
+}
+
+void NetDevice::ForceUp() {
+  MSN_CHECK(state_ != State::kBringingUp) << name_ << ": ForceUp during a bring-up";
+  state_ = State::kUp;
 }
 
 void NetDevice::TakeDown() {

@@ -64,12 +64,16 @@ class NetDevice {
 
   // Begins bring-up; transitions to kUp after bring_up_time (with jitter) and
   // then invokes `done`. Calling BringUp on an already-up device invokes
-  // `done` immediately. This is the expensive step of a cold switch.
+  // `done` immediately; calling it during a bring-up restarts the delay and
+  // drops the earlier caller's `done`. This is the expensive step of a cold
+  // switch.
   void BringUp(std::function<void()> done = nullptr);
   // Immediate down transition; pending transmissions are discarded.
   void TakeDown();
-  // Immediate up transition with no bring-up delay (initial topology setup).
-  void ForceUp() { state_ = State::kUp; }
+  // Immediate up transition with no bring-up delay: topology setup, or
+  // association of a device that is down. Checks that no bring-up is in
+  // flight, whose completion would otherwise never run.
+  void ForceUp();
 
   Duration bring_up_time() const { return bring_up_time_; }
   void set_bring_up_time(Duration d) { bring_up_time_ = d; }

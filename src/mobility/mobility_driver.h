@@ -7,17 +7,13 @@
 //   * loss  -> the medium's FaultInjector, as a degenerate Gilbert-Elliott
 //     profile (no burst state, loss_good = loss_bad = f(distance));
 //   * latency -> the medium's base propagation latency plus an edge penalty;
-//   * RSSI  -> MovementDetector::ReportSignal, so the detector's signal-aware
-//     policy sees fading before the loss EWMA catches up.
+//   * RSSI and coverage -> MovementDetector::ReportLink, so the detector's
+//     signal-aware policy sees fading before the loss EWMA catches up, and
+//     its association policy powers the devices of the cells the host is in.
 //
-// The driver also manages association for non-serving media: entering a
-// cell's coverage force-brings the device up and configures its care-of
-// address (so the detector's switch onto it can be a *hot* switch), leaving
-// coverage tears it back down. The serving device is never touched — walking
-// out of its cell shows up as loss, and the handoff decision stays with the
-// movement detector. Handoffs are classified by what forced them: a switch
-// off a medium that was still in coverage is "signal" (quality-driven), off
-// a dead one is "coverage" (forced).
+// The driver never changes a device's state itself. Handoffs are classified
+// by what forced them: a switch off a medium that was still in coverage is
+// "signal" (quality-driven), off a dead one is "coverage" (forced).
 //
 // Telemetry (all under "mobility.*"): position gauges, per-medium
 // loss/RSSI gauges, per-cell residency tick counters, handoff cause
@@ -46,9 +42,8 @@ class MobilityDriver {
     CellMedium cell_medium = CellMedium::kRadio;  // Which base stations apply.
     BroadcastMedium* medium = nullptr;
     FaultInjector* injector = nullptr;  // Distance-derived loss goes here.
-    // The host's attachment through this medium (device, care-of, gateway).
-    MobileHost::Attachment attachment;
-    RadioParams quality;  // Distance -> loss/RSSI/latency mapping.
+    NetDevice* device = nullptr;        // The host's device on this medium.
+    RadioParams quality;                // Distance -> loss/RSSI/latency mapping.
   };
 
   // Live per-binding quality snapshot, recomputed every tick.
@@ -61,7 +56,6 @@ class MobilityDriver {
   };
 
   struct Config {
-    MovementDetector* detector = nullptr;  // Optional RSSI feed.
     MetricsRegistry* metrics = nullptr;
   };
 
@@ -75,8 +69,9 @@ class MobilityDriver {
     uint64_t handoffs_coverage = 0;
   };
 
-  MobilityDriver(MobileHost& mobile, CampusMap map, std::unique_ptr<MobilityModel> model,
-                 Config config);
+  // `detector` receives every binding's RSSI and coverage each tick.
+  MobilityDriver(MobileHost& mobile, MovementDetector& detector, CampusMap map,
+                 std::unique_ptr<MobilityModel> model, Config config);
   ~MobilityDriver();
 
   MobilityDriver(const MobilityDriver&) = delete;
@@ -93,10 +88,6 @@ class MobilityDriver {
   const MobilityModel& model() const { return *model_; }
   const Counters& counters() const { return counters_; }
 
-  size_t binding_count() const { return bound_.size(); }
-  const MediumBinding& binding(size_t i) const { return bound_[i].binding; }
-  const MediumState& state(size_t i) const { return bound_[i].state; }
-
   // True when some bound medium currently has loss <= threshold — the
   // coverage-continuity oracle's premise that connectivity was available.
   [[nodiscard]] bool AnyDeepCoverage(double loss_threshold) const;
@@ -112,10 +103,10 @@ class MobilityDriver {
 
   void Tick();
   void UpdateQuality(Bound& b);
-  void ManageAssociation(Bound& b);
   void NoteHandoffs();
 
   MobileHost& mobile_;
+  MovementDetector& detector_;
   CampusMap map_;
   std::unique_ptr<MobilityModel> model_;
   Config config_;

@@ -268,13 +268,12 @@ MobileHost::Attachment Testbed::WirelessAttachment(uint32_t host_index) {
   return att;
 }
 
-MobilityDriver::MediumBinding Testbed::WiredMobilityBinding(FaultInjector* injector,
-                                                            uint32_t host_index) {
+MobilityDriver::MediumBinding Testbed::WiredMobilityBinding(FaultInjector* injector) {
   MobilityDriver::MediumBinding b;
   b.cell_medium = CellMedium::kWired;
   b.medium = net8.get();
   b.injector = injector;
-  b.attachment = WiredAttachment(host_index);
+  b.device = mh_eth;
   // Wired "cells" model office drops: short reach, clean until the edge.
   b.quality.range_m = 60.0;
   b.quality.good_range_fraction = 0.75;
@@ -282,13 +281,12 @@ MobilityDriver::MediumBinding Testbed::WiredMobilityBinding(FaultInjector* injec
   return b;
 }
 
-MobilityDriver::MediumBinding Testbed::RadioMobilityBinding(FaultInjector* injector,
-                                                            uint32_t host_index) {
+MobilityDriver::MediumBinding Testbed::RadioMobilityBinding(FaultInjector* injector) {
   MobilityDriver::MediumBinding b;
   b.cell_medium = CellMedium::kRadio;
   b.medium = radio134.get();
   b.injector = injector;
-  b.attachment = WirelessAttachment(host_index);
+  b.device = mh_radio;
   b.quality.range_m = 120.0;
   b.quality.good_range_fraction = 0.6;
   b.quality.edge_latency = MillisecondsF(1.5);

@@ -137,10 +137,8 @@ class Testbed {
   // injector must already be installed on the matching medium; `quality`
   // defaults differ per medium (short-range clean wired cells, longer-range
   // radio cells).
-  MobilityDriver::MediumBinding WiredMobilityBinding(FaultInjector* injector,
-                                                     uint32_t host_index = 50);
-  MobilityDriver::MediumBinding RadioMobilityBinding(FaultInjector* injector,
-                                                     uint32_t host_index = 50);
+  MobilityDriver::MediumBinding WiredMobilityBinding(FaultInjector* injector);
+  MobilityDriver::MediumBinding RadioMobilityBinding(FaultInjector* injector);
 
   // Moves the MH's Ethernet cable: detach from its current segment, attach
   // to `medium` (nullptr = unplugged).
