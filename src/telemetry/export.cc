@@ -51,6 +51,19 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+namespace {
+
+// "escaped s". Strings here are built by appending: gcc 12's -Wrestrict
+// misfires on `"literal" + std::string&&` once inlined.
+std::string Quoted(const std::string& s) {
+  std::string out = "\"";
+  out += JsonEscape(s);
+  out += '"';
+  return out;
+}
+
+}  // namespace
+
 std::string JsonScalar::ToJson() const {
   switch (kind_) {
     case Kind::kBool:
@@ -63,7 +76,7 @@ std::string JsonScalar::ToJson() const {
     case Kind::kDouble:
       return FormatMetricValue(double_);
     case Kind::kString:
-      return "\"" + JsonEscape(string_) + "\"";
+      return Quoted(string_);
   }
   return "null";
 }
@@ -72,7 +85,10 @@ namespace {
 
 // "key": value
 std::string Field(const std::string& key, const std::string& rendered_value) {
-  return "\"" + JsonEscape(key) + "\":" + rendered_value;
+  std::string out = Quoted(key);
+  out += ':';
+  out += rendered_value;
+  return out;
 }
 
 std::string NumField(const std::string& key, double v) {
@@ -168,25 +184,27 @@ void BenchReport::AddSeries(const TimeSeriesSampler& sampler) {
 
 std::string BenchReport::ToJson() const {
   std::string out = "{\n";
-  out += "  " + Field("schema", "\"msn-bench-v1\"") + ",\n";
-  out += "  " + Field("bench", "\"" + JsonEscape(bench_name_) + "\"") + ",\n";
-  out += "  " + Field("title", "\"" + JsonEscape(title_) + "\"") + ",\n";
-  out += "  " + NumField("seed", static_cast<double>(seed_)) + ",\n";
-  out += "  " + Field("smoke", BenchSmokeMode() ? "true" : "false") + ",\n";
-
-  out += "  " + Field("params", ObjectOf(params_)) + ",\n";
+  for (const std::string& field :
+       {Field("schema", "\"msn-bench-v1\""), Field("bench", Quoted(bench_name_)),
+        Field("title", Quoted(title_)), NumField("seed", static_cast<double>(seed_)),
+        Field("smoke", BenchSmokeMode() ? "true" : "false"), Field("params", ObjectOf(params_))}) {
+    out += "  ";
+    out += field;
+    out += ",\n";
+  }
 
   out += "  \"summaries\":[";
   for (size_t i = 0; i < summaries_.size(); ++i) {
     const Summary& s = summaries_[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {" + Field("name", "\"" + JsonEscape(s.name) + "\"") + "," +
-           Field("unit", "\"" + JsonEscape(s.unit) + "\"") + "," +
+    out += "    {";
+    out += Field("name", Quoted(s.name)) + "," + Field("unit", Quoted(s.unit)) + "," +
            NumField("count", static_cast<double>(s.count)) + "," + NumField("mean", s.mean) +
            "," + NumField("stddev", s.stddev) + "," + NumField("min", s.min) + "," +
            NumField("max", s.max);
     if (s.has_percentiles) {
-      out += "," + NumField("p50", s.p50) + "," + NumField("p95", s.p95) + "," +
+      out += ',';
+      out += NumField("p50", s.p50) + "," + NumField("p95", s.p95) + "," +
              NumField("p99", s.p99);
     }
     out += "}";
@@ -197,8 +215,8 @@ std::string BenchReport::ToJson() const {
   for (size_t i = 0; i < rows_.size(); ++i) {
     const Row& r = rows_[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {" + Field("label", "\"" + JsonEscape(r.label) + "\"") + "," +
-           Field("values", ObjectOf(r.values)) + "}";
+    out += "    {";
+    out += Field("label", Quoted(r.label)) + "," + Field("values", ObjectOf(r.values)) + "}";
   }
   out += rows_.empty() ? "],\n" : "\n  ],\n";
 
@@ -206,17 +224,19 @@ std::string BenchReport::ToJson() const {
   for (size_t i = 0; i < metrics_.size(); ++i) {
     const MetricSnapshot& m = metrics_[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {" + Field("name", "\"" + JsonEscape(m.name) + "\"") + "," +
-           Field("type", std::string("\"") + MetricTypeName(m.type) + "\"");
+    out += "    {";
+    out += Field("name", Quoted(m.name)) + "," + Field("type", Quoted(MetricTypeName(m.type)));
     if (m.histogram.has_value()) {
       const HistogramSnapshot& h = *m.histogram;
-      out += "," + NumField("count", static_cast<double>(h.count)) + "," +
+      out += ',';
+      out += NumField("count", static_cast<double>(h.count)) + "," +
              NumField("sum", h.sum) + "," + NumField("mean", h.mean) + "," +
              NumField("min", h.min) + "," + NumField("max", h.max) + "," +
              NumField("p50", h.p50) + "," + NumField("p95", h.p95) + "," +
              NumField("p99", h.p99);
     } else {
-      out += "," + NumField("value", m.value);
+      out += ',';
+      out += NumField("value", m.value);
     }
     out += "}";
   }
@@ -226,13 +246,15 @@ std::string BenchReport::ToJson() const {
   for (size_t i = 0; i < series_.size(); ++i) {
     const SeriesOut& s = series_[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {" + Field("metric", "\"" + JsonEscape(s.metric) + "\"") + "," +
-           NumField("interval_ms", s.interval_ms) + ",\"points\":[";
+    out += "    {";
+    out += Field("metric", Quoted(s.metric)) + "," + NumField("interval_ms", s.interval_ms) +
+           ",\"points\":[";
     for (size_t j = 0; j < s.points.size(); ++j) {
       if (j > 0) {
         out += ',';
       }
-      out += "[" + FormatMetricValue(s.points[j].first) + "," +
+      out += '[';
+      out += FormatMetricValue(s.points[j].first) + "," +
              FormatMetricValue(s.points[j].second) + "]";
     }
     out += "]}";

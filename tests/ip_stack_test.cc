@@ -472,7 +472,9 @@ ChainWork RunForwardingChain(int packets) {
   wire.drop_probability = 0.0;
   std::vector<std::unique_ptr<BroadcastMedium>> media;
   for (int i = 0; i <= kRouters; ++i) {
-    media.push_back(std::make_unique<BroadcastMedium>(sim, "m" + std::to_string(i), wire));
+    std::string name = "m";  // Appended: gcc 12 -Wrestrict misfires on "m" + string&&.
+    name += std::to_string(i);
+    media.push_back(std::make_unique<BroadcastMedium>(sim, name, wire));
   }
   const auto addr = [](int net, int host) {
     return Ipv4Address(10, static_cast<uint8_t>(net), 0, static_cast<uint8_t>(host));
@@ -494,7 +496,9 @@ ChainWork RunForwardingChain(int packets) {
 
   std::vector<std::unique_ptr<Node>> routers;
   for (int i = 0; i < kRouters; ++i) {
-    auto router = std::make_unique<Node>(sim, "r" + std::to_string(i));
+    std::string name = "r";
+    name += std::to_string(i);
+    auto router = std::make_unique<Node>(sim, name);
     router->stack().set_forwarding_enabled(true);
     EthernetDevice* left = router->AddEthernet("left", media[i].get());
     EthernetDevice* right = router->AddEthernet("right", media[i + 1].get());
