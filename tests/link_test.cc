@@ -159,6 +159,14 @@ TEST_F(LinkTest, TakeDownCancelsInFlightBringUp) {
   EXPECT_EQ(a_.state(), NetDevice::State::kDown);
 }
 
+// Forcing a device up under an in-flight bring-up would swallow the
+// bring-up's completion; it fails loudly instead.
+TEST_F(LinkTest, ForceUpDuringBringUpDies) {
+  a_.TakeDown();
+  a_.BringUp();
+  EXPECT_DEATH(a_.ForceUp(), "ForceUp during a bring-up");
+}
+
 TEST_F(LinkTest, TakeDownDiscardsQueuedFrames) {
   for (int i = 0; i < 3; ++i) {
     a_.Transmit(MakeFrame(a_.mac(), b_.mac(), 1000));

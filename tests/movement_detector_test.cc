@@ -250,5 +250,33 @@ TEST_F(MovementFixture, TrafficContinuesAcrossAutomaticFailover) {
   EXPECT_GE(lost, 2u);  // The detection window is not free.
 }
 
+// The detector owns association: a covered candidate device that is down is
+// powered and addressed at no bring-up cost, one out of coverage is taken
+// down, and the serving device is left alone either way.
+TEST(MovementDetectorAssociation, ReportLinkPowersCoveredDevicesButNotTheServingOne) {
+  TestbedConfig cfg;
+  cfg.seed = 61;
+  Testbed tb(cfg);
+  tb.StartMobileAtHome();
+  tb.StartMobileOnWired(50);
+  ASSERT_EQ(tb.mh_radio->state(), NetDevice::State::kDown);
+  MovementDetector detector(*tb.mobile, MovementDetector::Config{});
+  detector.AddCandidate({tb.WiredAttachment(50), /*preference=*/2});
+  detector.AddCandidate({tb.WirelessAttachment(70), /*preference=*/1});
+  IpStack& stack = tb.mh->stack();
+
+  detector.ReportLink(tb.mh_radio, -60.0, /*in_coverage=*/true);
+  EXPECT_TRUE(tb.mh_radio->IsUp());
+  EXPECT_EQ(stack.GetInterfaceAddress(tb.mh_radio), Ipv4Address(36, 134, 0, 70));
+
+  detector.ReportLink(tb.mh_eth, -200.0, /*in_coverage=*/false);
+  EXPECT_TRUE(tb.mh_eth->IsUp());
+  EXPECT_EQ(tb.mobile->attachment().device, tb.mh_eth);
+
+  detector.ReportLink(tb.mh_radio, -200.0, /*in_coverage=*/false);
+  EXPECT_EQ(tb.mh_radio->state(), NetDevice::State::kDown);
+  EXPECT_FALSE(stack.GetInterfaceAddress(tb.mh_radio).has_value());
+}
+
 }  // namespace
 }  // namespace msn
