@@ -6,7 +6,7 @@ locally):
 
     python3 tools/compare_bench_json.py baseline.json candidate.json
 
-Two kinds of checks, keyed off how msn-bench-v1 serializes values:
+Three kinds of checks, keyed off how msn-bench-v1 serializes values:
 
   * Determinism: every baseline row must exist in the candidate (same
     label), and integer row values — the deterministic counts such as
@@ -22,6 +22,11 @@ Two kinds of checks, keyed off how msn-bench-v1 serializes values:
     units (pps, eps, ...) regress downward. A zero baseline mean for a
     lower-is-better unit allows the candidate up to --zero-slack (default
     1.0) instead of a ratio.
+
+  * Metrics: the exported MetricsRegistry snapshot is simulated state, so
+    the candidate's "metrics" section must equal the baseline's exactly:
+    the same name set, and for every name the same type and every value.
+    Each name that differs is listed.
 
 Exit status: 0 on pass, 1 on any regression or structural mismatch.
 """
@@ -88,6 +93,26 @@ def compare_rows(base, cand):
                        "(deterministic counts must match exactly)")
 
 
+def compare_metrics(base, cand):
+    """Yields one error string per metric name that differs."""
+    base_metrics = {m["name"]: m for m in base.get("metrics", [])}
+    cand_metrics = {m["name"]: m for m in cand.get("metrics", [])}
+    for name in sorted(base_metrics.keys() | cand_metrics.keys()):
+        if name not in cand_metrics:
+            yield f"metric '{name}' missing from candidate"
+        elif name not in base_metrics:
+            yield f"metric '{name}' not in baseline"
+        elif base_metrics[name]["type"] != cand_metrics[name]["type"]:
+            yield (f"metric '{name}' type changed: "
+                   f"{base_metrics[name]['type']} -> {cand_metrics[name]['type']}")
+        else:
+            base_entry, cand_entry = base_metrics[name], cand_metrics[name]
+            for key in sorted(base_entry.keys() | cand_entry.keys()):
+                if base_entry.get(key) != cand_entry.get(key):
+                    yield (f"metric '{name}' {key} changed: "
+                           f"{base_entry.get(key)} -> {cand_entry.get(key)}")
+
+
 def compare_summaries(base, cand, tolerance, zero_slack):
     """Yields (status, message) pairs; status is 'ok' or 'fail'."""
     cand_summaries = {s["name"]: s for s in cand.get("summaries", [])}
@@ -142,6 +167,10 @@ def main(argv):
         return 1
 
     for error in compare_rows(base, cand):
+        print(f"FAIL  {error}", file=sys.stderr)
+        failures += 1
+
+    for error in compare_metrics(base, cand):
         print(f"FAIL  {error}", file=sys.stderr)
         failures += 1
 
