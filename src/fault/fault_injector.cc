@@ -7,33 +7,25 @@
 namespace msn {
 
 FaultInjector::FaultInjector(Simulator& sim, BroadcastMedium& medium, MetricsRegistry* metrics)
-    : sim_(sim), medium_(medium) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics = owned_metrics_.get();
+    : sim_(sim), medium_(medium), metrics_(metrics) {
+  if (metrics_ != nullptr) {
+    const std::string prefix = "fault." + medium_.name() + ".";
+    metrics_->BindCounter(prefix + "frames_seen", &counters_.frames_seen);
+    metrics_->BindCounter(prefix + "burst_drops", &counters_.burst_drops);
+    metrics_->BindCounter(prefix + "blackout_drops", &counters_.blackout_drops);
+    metrics_->BindCounter(prefix + "duplicates", &counters_.duplicates);
+    metrics_->BindCounter(prefix + "reorders", &counters_.reorders);
+    metrics_->BindCounter(prefix + "corruptions", &counters_.corruptions);
   }
-  const std::string prefix = "fault." + medium_.name() + ".";
-  counters_.frames_seen = metrics->GetCounterRef(prefix + "frames_seen");
-  counters_.burst_drops = metrics->GetCounterRef(prefix + "burst_drops");
-  counters_.blackout_drops = metrics->GetCounterRef(prefix + "blackout_drops");
-  counters_.duplicates = metrics->GetCounterRef(prefix + "duplicates");
-  counters_.reorders = metrics->GetCounterRef(prefix + "reorders");
-  counters_.corruptions = metrics->GetCounterRef(prefix + "corruptions");
   medium_.SetFaultHook(
       [this](LinkDevice* target, EthernetFrame& frame) { return OnFrame(target, frame); });
 }
 
-FaultInjector::~FaultInjector() { medium_.ClearFaultHook(); }
-
-FaultInjector::Counters FaultInjector::counters() const {
-  Counters c;
-  c.frames_seen = counters_.frames_seen;
-  c.burst_drops = counters_.burst_drops;
-  c.blackout_drops = counters_.blackout_drops;
-  c.duplicates = counters_.duplicates;
-  c.reorders = counters_.reorders;
-  c.corruptions = counters_.corruptions;
-  return c;
+FaultInjector::~FaultInjector() {
+  medium_.ClearFaultHook();
+  if (metrics_ != nullptr) {
+    metrics_->ReleaseCounters(counters_);
+  }
 }
 
 void FaultInjector::StartBlackout() {

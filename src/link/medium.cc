@@ -9,31 +9,24 @@ namespace msn {
 
 BroadcastMedium::BroadcastMedium(Simulator& sim, std::string name, MediumParams params,
                                  MetricsRegistry* metrics)
-    : sim_(sim), name_(std::move(name)), params_(params) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics = owned_metrics_.get();
+    : sim_(sim), name_(std::move(name)), params_(params), metrics_(metrics) {
+  if (metrics_ == nullptr) {
+    return;
   }
   const std::string prefix = "link." + name_ + ".";
-  counters_.frames_carried = metrics->GetCounterRef(prefix + "frames_carried");
-  counters_.frames_dropped = metrics->GetCounterRef(prefix + "frames_dropped");
-  counters_.frames_fault_dropped = metrics->GetCounterRef(prefix + "frames_fault_dropped");
-  counters_.frames_unmatched = metrics->GetCounterRef(prefix + "frames_unmatched");
+  metrics_->BindCounter(prefix + "frames_carried", &counters_.frames_carried);
+  metrics_->BindCounter(prefix + "frames_dropped", &counters_.frames_dropped);
+  metrics_->BindCounter(prefix + "frames_fault_dropped", &counters_.frames_fault_dropped);
+  metrics_->BindCounter(prefix + "frames_unmatched", &counters_.frames_unmatched);
 }
 
 BroadcastMedium::~BroadcastMedium() {
   for (LinkDevice* device : devices_) {
     device->MediumDestroyed();
   }
-}
-
-BroadcastMedium::Counters BroadcastMedium::counters() const {
-  Counters c;
-  c.frames_carried = counters_.frames_carried;
-  c.frames_dropped = counters_.frames_dropped;
-  c.frames_fault_dropped = counters_.frames_fault_dropped;
-  c.frames_unmatched = counters_.frames_unmatched;
-  return c;
+  if (metrics_ != nullptr) {
+    metrics_->ReleaseCounters(counters_);
+  }
 }
 
 void BroadcastMedium::Attach(LinkDevice* device) {

@@ -12,40 +12,40 @@ HomeAgent::HomeAgent(Node& node, Config config)
     : node_(node), config_(std::move(config)), role_(config_.initial_role) {
   config_.num_shards = std::clamp(config_.num_shards, uint32_t{1}, kMaxShards);
   config_.batch_max = std::max(config_.batch_max, uint32_t{1});
-  MetricsRegistry* metrics = config_.metrics;
-  if (metrics == nullptr) {
+  metrics_ = config_.metrics;
+  if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics = owned_metrics_.get();
+    metrics_ = owned_metrics_.get();
   }
   const std::string& p = config_.metric_prefix;
-  counters_.requests_received = metrics->GetCounterRef(p + "requests_received");
-  counters_.registrations_accepted = metrics->GetCounterRef(p + "registrations_accepted");
-  counters_.registrations_denied = metrics->GetCounterRef(p + "registrations_denied");
-  counters_.deregistrations = metrics->GetCounterRef(p + "deregistrations");
-  counters_.packets_tunneled = metrics->GetCounterRef(p + "packets_tunneled");
-  counters_.reverse_decapsulated = metrics->GetCounterRef(p + "reverse_decapsulated");
-  counters_.bindings_expired = metrics->GetCounterRef(p + "bindings_expired");
-  counters_.tunnel_drops_no_binding = metrics->GetCounterRef(p + "tunnel_drops_no_binding");
-  counters_.requests_dropped_outage = metrics->GetCounterRef(p + "requests_dropped_outage");
-  counters_.requests_dropped_standby = metrics->GetCounterRef(p + "requests_dropped_standby");
-  counters_.requests_dropped_crashed = metrics->GetCounterRef(p + "requests_dropped_crashed");
-  counters_.tunnel_drops_crashed = metrics->GetCounterRef(p + "tunnel_drops_crashed");
-  counters_.bindings_wiped = metrics->GetCounterRef(p + "bindings_wiped");
-  counters_.resync_denials = metrics->GetCounterRef(p + "resync_denials");
-  counters_.admission_denied = metrics->GetCounterRef(p + "admission.denied");
-  counters_.admission_dropped = metrics->GetCounterRef(p + "admission.dropped");
-  counters_.admission_superseded = metrics->GetCounterRef(p + "admission.superseded");
-  bindings_gauge_ = &metrics->GetGauge(p + "bindings");
-  role_gauge_ = &metrics->GetGauge(p + "role");
-  processing_histogram_ = &metrics->GetHistogram(p + "processing_ms");
-  batch_size_histogram_ = &metrics->GetHistogram(p + "batch_size");
+  metrics_->BindCounter(p + "requests_received", &counters_.requests_received);
+  metrics_->BindCounter(p + "registrations_accepted", &counters_.registrations_accepted);
+  metrics_->BindCounter(p + "registrations_denied", &counters_.registrations_denied);
+  metrics_->BindCounter(p + "deregistrations", &counters_.deregistrations);
+  metrics_->BindCounter(p + "packets_tunneled", &counters_.packets_tunneled);
+  metrics_->BindCounter(p + "reverse_decapsulated", &counters_.reverse_decapsulated);
+  metrics_->BindCounter(p + "bindings_expired", &counters_.bindings_expired);
+  metrics_->BindCounter(p + "tunnel_drops_no_binding", &counters_.tunnel_drops_no_binding);
+  metrics_->BindCounter(p + "requests_dropped_outage", &counters_.requests_dropped_outage);
+  metrics_->BindCounter(p + "requests_dropped_standby", &counters_.requests_dropped_standby);
+  metrics_->BindCounter(p + "requests_dropped_crashed", &counters_.requests_dropped_crashed);
+  metrics_->BindCounter(p + "tunnel_drops_crashed", &counters_.tunnel_drops_crashed);
+  metrics_->BindCounter(p + "bindings_wiped", &counters_.bindings_wiped);
+  metrics_->BindCounter(p + "resync_denials", &counters_.resync_denials);
+  metrics_->BindCounter(p + "admission.denied", &counters_.admission_denied);
+  metrics_->BindCounter(p + "admission.dropped", &counters_.admission_dropped);
+  metrics_->BindCounter(p + "admission.superseded", &counters_.admission_superseded);
+  bindings_gauge_ = &metrics_->GetGauge(p + "bindings");
+  role_gauge_ = &metrics_->GetGauge(p + "role");
+  processing_histogram_ = &metrics_->GetHistogram(p + "processing_ms");
+  batch_size_histogram_ = &metrics_->GetHistogram(p + "batch_size");
   shards_.resize(config_.num_shards);
   for (size_t i = 0; i < shards_.size(); ++i) {
     const std::string sp = p + "shard." + std::to_string(i) + ".";
-    shards_[i].queue_depth_gauge = &metrics->GetGauge(sp + "queue_depth");
-    shards_[i].bindings_gauge = &metrics->GetGauge(sp + "bindings");
-    shards_[i].processed = metrics->GetCounterRef(sp + "processed");
-    shards_[i].batches = metrics->GetCounterRef(sp + "batches");
+    shards_[i].queue_depth_gauge = &metrics_->GetGauge(sp + "queue_depth");
+    shards_[i].bindings_gauge = &metrics_->GetGauge(sp + "bindings");
+    metrics_->BindCounter(sp + "processed", &shards_[i].processed);
+    metrics_->BindCounter(sp + "batches", &shards_[i].batches);
   }
   SetRoleGauge();
 
@@ -93,6 +93,10 @@ HomeAgent::~HomeAgent() {
     for (Ipv4Address home : SortedBoundHomes()) {
       node_.stack().arp().RemoveProxyEntry(config_.home_device, home);
     }
+  }
+  metrics_->ReleaseCounters(counters_);
+  for (const Shard& shard : shards_) {
+    metrics_->ReleaseCounters(shard);
   }
 }
 
@@ -174,11 +178,9 @@ void HomeAgent::SetGlobalBindingsGauge() {
   bindings_gauge_->Set(static_cast<double>(binding_count()));
 }
 
-void HomeAgent::FlushShardQueues(CounterRef& drop_counter) {
+void HomeAgent::FlushShardQueues(uint64_t& drop_counter) {
   for (Shard& shard : shards_) {
-    for (size_t i = 0; i < shard.queue.size(); ++i) {
-      ++drop_counter;
-    }
+    drop_counter += shard.queue.size();
     shard.queue.clear();
     shard.queued_by_home.clear();
     shard.denials_in_window = 0;
@@ -192,28 +194,6 @@ void HomeAgent::AuthorizeMobileHost(Ipv4Address home_address) {
 
 void HomeAgent::SetAuthKey(Ipv4Address home_address, const MipAuthKey& key) {
   auth_keys_[home_address] = key;
-}
-
-HomeAgent::Counters HomeAgent::counters() const {
-  Counters c;
-  c.requests_received = counters_.requests_received;
-  c.registrations_accepted = counters_.registrations_accepted;
-  c.registrations_denied = counters_.registrations_denied;
-  c.deregistrations = counters_.deregistrations;
-  c.packets_tunneled = counters_.packets_tunneled;
-  c.reverse_decapsulated = counters_.reverse_decapsulated;
-  c.bindings_expired = counters_.bindings_expired;
-  c.tunnel_drops_no_binding = counters_.tunnel_drops_no_binding;
-  c.requests_dropped_outage = counters_.requests_dropped_outage;
-  c.requests_dropped_standby = counters_.requests_dropped_standby;
-  c.requests_dropped_crashed = counters_.requests_dropped_crashed;
-  c.tunnel_drops_crashed = counters_.tunnel_drops_crashed;
-  c.bindings_wiped = counters_.bindings_wiped;
-  c.resync_denials = counters_.resync_denials;
-  c.admission_denied = counters_.admission_denied;
-  c.admission_dropped = counters_.admission_dropped;
-  c.admission_superseded = counters_.admission_superseded;
-  return c;
 }
 
 bool HomeAgent::HasBinding(Ipv4Address home_address) const {

@@ -174,8 +174,8 @@ class HomeAgent {
     bool decapsulates_self = true;
   };
 
-  // Snapshot of the agent's accounting; the live values are registry-backed
-  // counters named "<metric_prefix><field>".
+  // The agent's accounting, named "<metric_prefix><field>" (the admission_*
+  // fields as "<metric_prefix>admission.<what>").
   struct Counters {
     uint64_t requests_received = 0;
     uint64_t registrations_accepted = 0;
@@ -282,7 +282,7 @@ class HomeAgent {
   // shard its home address hashes to, and each shard's queue index matches
   // its queue exactly.
   [[nodiscard]] std::string ShardConsistencyError() const;
-  Counters counters() const;
+  const Counters& counters() const { return counters_; }
   const Config& config() const { return config_; }
   Node& node() { return node_; }
 
@@ -295,28 +295,6 @@ class HomeAgent {
   const RunningStats& processing_stats_ms() const { return processing_stats_ms_; }
 
  private:
-  // Registry-backed counters; field names mirror Counters so increment sites
-  // read the same as before the telemetry migration.
-  struct LiveCounters {
-    CounterRef requests_received;
-    CounterRef registrations_accepted;
-    CounterRef registrations_denied;
-    CounterRef deregistrations;
-    CounterRef packets_tunneled;
-    CounterRef reverse_decapsulated;
-    CounterRef bindings_expired;
-    CounterRef tunnel_drops_no_binding;
-    CounterRef requests_dropped_outage;
-    CounterRef requests_dropped_standby;
-    CounterRef requests_dropped_crashed;
-    CounterRef tunnel_drops_crashed;
-    CounterRef bindings_wiped;
-    CounterRef resync_denials;
-    CounterRef admission_denied;
-    CounterRef admission_dropped;
-    CounterRef admission_superseded;
-  };
-
   // One queued registration awaiting its shard's daemon. A retransmit for
   // the same home address overwrites this slot in place (supersede).
   struct PendingRequest {
@@ -342,8 +320,8 @@ class HomeAgent {
     uint32_t denials_in_window = 0;
     Gauge* queue_depth_gauge = nullptr;  // "<prefix>shard.<i>.queue_depth"
     Gauge* bindings_gauge = nullptr;     // "<prefix>shard.<i>.bindings"
-    CounterRef processed;                // "<prefix>shard.<i>.processed"
-    CounterRef batches;                  // "<prefix>shard.<i>.batches"
+    uint64_t processed = 0;              // "<prefix>shard.<i>.processed"
+    uint64_t batches = 0;                // "<prefix>shard.<i>.batches"
   };
 
   // A pending expiry check; seq is a reserved event-queue sequence number.
@@ -365,7 +343,7 @@ class HomeAgent {
   [[nodiscard]] std::vector<Ipv4Address> SortedBoundHomes() const;
   // Drops every queued request (outage, crash, step-down), counting each
   // against `drop_counter`.
-  void FlushShardQueues(CounterRef& drop_counter);
+  void FlushShardQueues(uint64_t& drop_counter);
   void ScheduleShardBatch(size_t shard_index);
   void RunShardBatch(size_t shard_index);
   void SetGlobalBindingsGauge();
@@ -418,7 +396,8 @@ class HomeAgent {
   // mirrored mutations are never echoed back.
   bool applying_peer_state_ = false;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // Fallback when unbound.
-  LiveCounters counters_;
+  MetricsRegistry* metrics_;  // config_.metrics, or owned_metrics_.
+  Counters counters_;
   Gauge* bindings_gauge_ = nullptr;            // "<prefix>bindings" (all shards)
   Gauge* role_gauge_ = nullptr;                // "<prefix>role" (1 = primary)
   Histogram* processing_histogram_ = nullptr;  // "<prefix>processing_ms"

@@ -9,31 +9,31 @@
 namespace msn {
 
 MobileHost::MobileHost(Node& node, Config config) : node_(node), config_(config) {
-  MetricsRegistry* metrics = config_.metrics;
-  if (metrics == nullptr) {
+  metrics_ = config_.metrics;
+  if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics = owned_metrics_.get();
+    metrics_ = owned_metrics_.get();
   }
-  counters_.registrations_sent = metrics->GetCounterRef("mh.registrations_sent");
-  counters_.registrations_accepted = metrics->GetCounterRef("mh.registrations_accepted");
-  counters_.registrations_denied = metrics->GetCounterRef("mh.registrations_denied");
-  counters_.registrations_timed_out = metrics->GetCounterRef("mh.registrations_timed_out");
-  counters_.renewals = metrics->GetCounterRef("mh.renewals");
-  counters_.retransmissions = metrics->GetCounterRef("mh.retransmissions");
-  counters_.bindings_lost = metrics->GetCounterRef("mh.bindings_lost");
-  counters_.recoveries = metrics->GetCounterRef("mh.recoveries");
-  counters_.resyncs = metrics->GetCounterRef("mh.resyncs");
-  counters_.admission_backoffs = metrics->GetCounterRef("mh.admission_backoffs");
-  counters_.duplicate_replies_dropped = metrics->GetCounterRef("mh.duplicate_replies_dropped");
-  counters_.stale_replies_dropped = metrics->GetCounterRef("mh.stale_replies_dropped");
-  counters_.packets_tunneled_out = metrics->GetCounterRef("mh.packets_tunneled_out");
-  counters_.packets_triangle_out = metrics->GetCounterRef("mh.packets_triangle_out");
-  counters_.packets_encap_direct_out = metrics->GetCounterRef("mh.packets_encap_direct_out");
-  counters_.packets_decapsulated_in = metrics->GetCounterRef("mh.packets_decapsulated_in");
-  counters_.probes_sent = metrics->GetCounterRef("mh.probes_sent");
-  counters_.probe_fallbacks = metrics->GetCounterRef("mh.probe_fallbacks");
-  counters_.failover_count = metrics->GetCounterRef("mh.failover_count");
-  handoff_histogram_ = &metrics->GetHistogram("mh.handoff_ms");
+  metrics_->BindCounter("mh.registrations_sent", &counters_.registrations_sent);
+  metrics_->BindCounter("mh.registrations_accepted", &counters_.registrations_accepted);
+  metrics_->BindCounter("mh.registrations_denied", &counters_.registrations_denied);
+  metrics_->BindCounter("mh.registrations_timed_out", &counters_.registrations_timed_out);
+  metrics_->BindCounter("mh.renewals", &counters_.renewals);
+  metrics_->BindCounter("mh.retransmissions", &counters_.retransmissions);
+  metrics_->BindCounter("mh.bindings_lost", &counters_.bindings_lost);
+  metrics_->BindCounter("mh.recoveries", &counters_.recoveries);
+  metrics_->BindCounter("mh.resyncs", &counters_.resyncs);
+  metrics_->BindCounter("mh.admission_backoffs", &counters_.admission_backoffs);
+  metrics_->BindCounter("mh.duplicate_replies_dropped", &counters_.duplicate_replies_dropped);
+  metrics_->BindCounter("mh.stale_replies_dropped", &counters_.stale_replies_dropped);
+  metrics_->BindCounter("mh.packets_tunneled_out", &counters_.packets_tunneled_out);
+  metrics_->BindCounter("mh.packets_triangle_out", &counters_.packets_triangle_out);
+  metrics_->BindCounter("mh.packets_encap_direct_out", &counters_.packets_encap_direct_out);
+  metrics_->BindCounter("mh.packets_decapsulated_in", &counters_.packets_decapsulated_in);
+  metrics_->BindCounter("mh.probes_sent", &counters_.probes_sent);
+  metrics_->BindCounter("mh.probe_fallbacks", &counters_.probe_fallbacks);
+  metrics_->BindCounter("mh.failover_count", &counters_.failover_count);
+  handoff_histogram_ = &metrics_->GetHistogram("mh.handoff_ms");
   active_home_agent_ = config_.home_agent;
 
   // The encapsulating virtual interface (paper Figure 4). While away from
@@ -69,34 +69,11 @@ MobileHost::MobileHost(Node& node, Config config) : node_(node), config_(config)
       [this](const RouteQuery& query) { return RouteOverride(query); });
 }
 
-MobileHost::Counters MobileHost::counters() const {
-  Counters c;
-  c.registrations_sent = counters_.registrations_sent;
-  c.registrations_accepted = counters_.registrations_accepted;
-  c.registrations_denied = counters_.registrations_denied;
-  c.registrations_timed_out = counters_.registrations_timed_out;
-  c.renewals = counters_.renewals;
-  c.retransmissions = counters_.retransmissions;
-  c.bindings_lost = counters_.bindings_lost;
-  c.recoveries = counters_.recoveries;
-  c.resyncs = counters_.resyncs;
-  c.admission_backoffs = counters_.admission_backoffs;
-  c.duplicate_replies_dropped = counters_.duplicate_replies_dropped;
-  c.stale_replies_dropped = counters_.stale_replies_dropped;
-  c.packets_tunneled_out = counters_.packets_tunneled_out;
-  c.packets_triangle_out = counters_.packets_triangle_out;
-  c.packets_encap_direct_out = counters_.packets_encap_direct_out;
-  c.packets_decapsulated_in = counters_.packets_decapsulated_in;
-  c.probes_sent = counters_.probes_sent;
-  c.probe_fallbacks = counters_.probe_fallbacks;
-  c.failover_count = counters_.failover_count;
-  return c;
-}
-
 MobileHost::~MobileHost() {
   CancelPendingRegistration();
   node_.sim().Cancel(renewal_event_);
   node_.stack().ClearRouteLookupOverride();
+  metrics_->ReleaseCounters(counters_);
 }
 
 // --- Route policy (the enhanced ip_rt_route()) ----------------------------------

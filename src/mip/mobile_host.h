@@ -105,8 +105,7 @@ class MobileHost {
     Duration PostRegistration() const { return done - reply_received; }
   };
 
-  // Snapshot of the host's accounting; the live values are registry-backed
-  // counters named "mh.<field>".
+  // The host's accounting, named "mh.<field>".
   struct Counters {
     uint64_t registrations_sent = 0;
     uint64_t registrations_accepted = 0;
@@ -220,35 +219,11 @@ class MobileHost {
   // The home agent registrations (and reverse tunnels) currently target;
   // config().home_agent unless failover switched to the backup.
   Ipv4Address active_home_agent() const { return active_home_agent_; }
-  Counters counters() const;
+  const Counters& counters() const { return counters_; }
   VirtualInterface* vif() { return vif_; }
   Node& node() { return node_; }
 
  private:
-  // Registry-backed counters; field names mirror Counters so increment sites
-  // read the same as before the telemetry migration.
-  struct LiveCounters {
-    CounterRef registrations_sent;
-    CounterRef registrations_accepted;
-    CounterRef registrations_denied;
-    CounterRef registrations_timed_out;
-    CounterRef renewals;
-    CounterRef retransmissions;
-    CounterRef bindings_lost;
-    CounterRef recoveries;
-    CounterRef resyncs;
-    CounterRef admission_backoffs;
-    CounterRef duplicate_replies_dropped;
-    CounterRef stale_replies_dropped;
-    CounterRef packets_tunneled_out;
-    CounterRef packets_triangle_out;
-    CounterRef packets_encap_direct_out;
-    CounterRef packets_decapsulated_in;
-    CounterRef probes_sent;
-    CounterRef probe_fallbacks;
-    CounterRef failover_count;
-  };
-
   [[nodiscard]] std::optional<RouteDecision> RouteOverride(const RouteQuery& query);
   // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
   void EncapsulateOut(const Ipv4Header& inner, Packet inner_wire);
@@ -303,7 +278,8 @@ class MobileHost {
 
   RegistrationTimeline timeline_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // Fallback when unbound.
-  LiveCounters counters_;
+  MetricsRegistry* metrics_;  // config_.metrics, or owned_metrics_.
+  Counters counters_;
   Histogram* handoff_histogram_ = nullptr;  // "mh.handoff_ms"
 
   // Invalidates scheduled steps of superseded attach operations.

@@ -23,7 +23,10 @@ MobilityDriver::MobilityDriver(MobileHost& mobile, MovementDetector& detector, C
   residency_.resize(map_.base_stations().size());
 }
 
-MobilityDriver::~MobilityDriver() { Stop(); }
+MobilityDriver::~MobilityDriver() {
+  Stop();
+  config_.metrics->ReleaseCounters(counters_);
+}
 
 void MobilityDriver::AddBinding(const MediumBinding& binding) {
   Bound b;
@@ -67,15 +70,12 @@ bool MobilityDriver::AnyDeepCoverage(double loss_threshold) const {
 
 void MobilityDriver::Tick() {
   const Vec2 pos = map_.Clamp(model_->Advance(kTick));
-  counters_.ticks += 1;
-
   MetricsRegistry& metrics = *config_.metrics;
-  if (ticks_ == nullptr) {
-    ticks_ = &metrics.GetCounter("mobility.ticks");
+  if (++counters_.ticks == 1) {
+    metrics.BindCounter("mobility.ticks", &counters_.ticks);
     pos_x_ = &metrics.GetGauge("mobility.pos_x_m");
     pos_y_ = &metrics.GetGauge("mobility.pos_y_m");
   }
-  ticks_->Add(1);
   pos_x_->Set(pos.x);
   pos_y_->Set(pos.y);
 
@@ -162,17 +162,11 @@ void MobilityDriver::NoteHandoffs() {
     }
   }
   if (previous_was_covered) {
-    counters_.handoffs_signal += 1;
-    if (handoffs_signal_ == nullptr) {
-      handoffs_signal_ = &config_.metrics->GetCounter("mobility.handoffs_signal");
+    if (++counters_.handoffs_signal == 1) {
+      config_.metrics->BindCounter("mobility.handoffs_signal", &counters_.handoffs_signal);
     }
-    handoffs_signal_->Add(1);
-  } else {
-    counters_.handoffs_coverage += 1;
-    if (handoffs_coverage_ == nullptr) {
-      handoffs_coverage_ = &config_.metrics->GetCounter("mobility.handoffs_coverage");
-    }
-    handoffs_coverage_->Add(1);
+  } else if (++counters_.handoffs_coverage == 1) {
+    config_.metrics->BindCounter("mobility.handoffs_coverage", &counters_.handoffs_coverage);
   }
   last_device_ = current;
 }

@@ -16,10 +16,10 @@
 // "signal" (quality-driven), off a dead one is "coverage" (forced).
 //
 // Telemetry (all under "mobility.*"): position gauges, per-medium
-// loss/RSSI gauges, per-cell residency tick counters, handoff cause
-// counters. Each is looked up by name on its first use and recorded through
-// the kept reference after that, so it appears in the registry when it first
-// has a value.
+// loss/RSSI gauges, per-cell residency tick counters, and the tick and
+// handoff cause counters of Counters. Each is named on its first use and
+// recorded through the kept reference (or the bound field) after that, so
+// it appears in the registry when it first has a value.
 #ifndef MSN_SRC_MOBILITY_MOBILITY_DRIVER_H_
 #define MSN_SRC_MOBILITY_MOBILITY_DRIVER_H_
 
@@ -61,6 +61,7 @@ class MobilityDriver {
 
   static constexpr Duration kTick = Milliseconds(250);
 
+  // "mobility.ticks", "mobility.handoffs_signal", "mobility.handoffs_coverage".
   struct Counters {
     uint64_t ticks = 0;
     // Device changes observed on the mobile host, by cause: the previous
@@ -115,11 +116,8 @@ class MobilityDriver {
   Counters counters_;
   NetDevice* last_device_ = nullptr;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // Fallback when unbound.
-  Counter* ticks_ = nullptr;
   Gauge* pos_x_ = nullptr;
   Gauge* pos_y_ = nullptr;
-  Counter* handoffs_signal_ = nullptr;
-  Counter* handoffs_coverage_ = nullptr;
   std::vector<Counter*> residency_;  // Indexed like map_.base_stations().
 };
 

@@ -11,24 +11,24 @@ namespace msn {
 
 HaReplicationLink::HaReplicationLink(HomeAgent& ha, Config config)
     : ha_(ha), config_(std::move(config)) {
-  MetricsRegistry* metrics = config_.metrics;
-  if (metrics == nullptr) {
+  metrics_ = config_.metrics;
+  if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics = owned_metrics_.get();
+    metrics_ = owned_metrics_.get();
   }
   const std::string& p = config_.metric_prefix;
-  counters_.heartbeats_sent = metrics->GetCounterRef(p + "heartbeats_sent");
-  counters_.mutations_sent = metrics->GetCounterRef(p + "mutations_sent");
-  counters_.mutations_applied = metrics->GetCounterRef(p + "mutations_applied");
-  counters_.duplicate_mutations = metrics->GetCounterRef(p + "duplicate_mutations");
-  counters_.out_of_order = metrics->GetCounterRef(p + "out_of_order");
-  counters_.acks_received = metrics->GetCounterRef(p + "acks_received");
-  counters_.snapshot_requests = metrics->GetCounterRef(p + "snapshot_requests");
-  counters_.snapshots_sent = metrics->GetCounterRef(p + "snapshots_sent");
-  counters_.snapshots_applied = metrics->GetCounterRef(p + "snapshots_applied");
-  counters_.takeovers = metrics->GetCounterRef(p + "takeovers");
-  counters_.stepdowns = metrics->GetCounterRef(p + "stepdowns");
-  sync_lag_gauge_ = &metrics->GetGauge(ha_.config().metric_prefix + "sync_lag");
+  metrics_->BindCounter(p + "heartbeats_sent", &counters_.heartbeats_sent);
+  metrics_->BindCounter(p + "mutations_sent", &counters_.mutations_sent);
+  metrics_->BindCounter(p + "mutations_applied", &counters_.mutations_applied);
+  metrics_->BindCounter(p + "duplicate_mutations", &counters_.duplicate_mutations);
+  metrics_->BindCounter(p + "out_of_order", &counters_.out_of_order);
+  metrics_->BindCounter(p + "acks_received", &counters_.acks_received);
+  metrics_->BindCounter(p + "snapshot_requests", &counters_.snapshot_requests);
+  metrics_->BindCounter(p + "snapshots_sent", &counters_.snapshots_sent);
+  metrics_->BindCounter(p + "snapshots_applied", &counters_.snapshots_applied);
+  metrics_->BindCounter(p + "takeovers", &counters_.takeovers);
+  metrics_->BindCounter(p + "stepdowns", &counters_.stepdowns);
+  sync_lag_gauge_ = &metrics_->GetGauge(ha_.config().metric_prefix + "sync_lag");
   UpdateLagGauge();
 
   socket_ = std::make_unique<UdpSocket>(ha_.node().stack());
@@ -52,22 +52,7 @@ HaReplicationLink::HaReplicationLink(HomeAgent& ha, Config config)
 
 HaReplicationLink::~HaReplicationLink() {
   ha_.SetReplicationSink(nullptr);
-}
-
-HaReplicationLink::Counters HaReplicationLink::counters() const {
-  Counters c;
-  c.heartbeats_sent = counters_.heartbeats_sent;
-  c.mutations_sent = counters_.mutations_sent;
-  c.mutations_applied = counters_.mutations_applied;
-  c.duplicate_mutations = counters_.duplicate_mutations;
-  c.out_of_order = counters_.out_of_order;
-  c.acks_received = counters_.acks_received;
-  c.snapshot_requests = counters_.snapshot_requests;
-  c.snapshots_sent = counters_.snapshots_sent;
-  c.snapshots_applied = counters_.snapshots_applied;
-  c.takeovers = counters_.takeovers;
-  c.stepdowns = counters_.stepdowns;
-  return c;
+  metrics_->ReleaseCounters(counters_);
 }
 
 void HaReplicationLink::UpdateLagGauge() {

@@ -57,8 +57,7 @@ class HaReplicationLink {
   // Periodic full-snapshot anti-entropy cadence while primary.
   static constexpr Duration kSnapshotInterval = Seconds(5);
 
-  // Snapshot of the link's accounting (registry-backed counters named
-  // "<metric_prefix><field>").
+  // The link's accounting, named "<metric_prefix><field>".
   struct Counters {
     uint64_t heartbeats_sent = 0;
     uint64_t mutations_sent = 0;
@@ -84,27 +83,13 @@ class HaReplicationLink {
   HaReplicationLink(const HaReplicationLink&) = delete;
   HaReplicationLink& operator=(const HaReplicationLink&) = delete;
 
-  Counters counters() const;
+  const Counters& counters() const { return counters_; }
   const Config& config() const { return config_; }
   // Primary-side replication lag: mutations sent but not yet cumulatively
   // acked. Exported as the "<agent metric_prefix>sync_lag" gauge.
   uint64_t sync_lag() const { return last_sent_seq_ - last_acked_seq_; }
 
  private:
-  struct LiveCounters {
-    CounterRef heartbeats_sent;
-    CounterRef mutations_sent;
-    CounterRef mutations_applied;
-    CounterRef duplicate_mutations;
-    CounterRef out_of_order;
-    CounterRef acks_received;
-    CounterRef snapshot_requests;
-    CounterRef snapshots_sent;
-    CounterRef snapshots_applied;
-    CounterRef takeovers;
-    CounterRef stepdowns;
-  };
-
   void OnLocalMutation(const BindingMutation& mutation);
   void OnTick();
   void OnSyncDatagram(const std::vector<uint8_t>& data);
@@ -125,7 +110,8 @@ class HaReplicationLink {
   HomeAgent& ha_;
   Config config_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // Fallback when unbound.
-  LiveCounters counters_;
+  MetricsRegistry* metrics_;  // config_.metrics, or owned_metrics_.
+  Counters counters_;
   Gauge* sync_lag_gauge_ = nullptr;  // "<agent metric_prefix>sync_lag"
   std::unique_ptr<UdpSocket> socket_;
   std::unique_ptr<PeriodicTask> tick_;

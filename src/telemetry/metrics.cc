@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+
+#include "src/util/assert.h"
 
 namespace msn {
 
@@ -96,10 +99,30 @@ double Histogram::Quantile(double p) const {
 
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
   Entry& e = GetEntry(name, MetricType::kCounter);
-  if (!e.counter) {
-    e.counter = std::make_unique<Counter>();
+  if (e.counter == nullptr) {
+    e.counter = &e.owned.value_;
   }
-  return *e.counter;
+  MSN_CHECK(e.counter == &e.owned.value_) << "counter '" << name << "' is bound by its owner";
+  return e.owned;
+}
+
+void MetricsRegistry::BindCounter(const std::string& name, uint64_t* field) {
+  Entry& e = GetEntry(name, MetricType::kCounter);
+  MSN_CHECK(e.counter == nullptr || e.counter == &e.owned.value_)
+      << "counter '" << name << "' is already bound";
+  *field += e.owned.value_;
+  e.counter = field;
+}
+
+void MetricsRegistry::Release(const void* first, size_t size) {
+  const auto begin = reinterpret_cast<std::uintptr_t>(first);
+  for (auto& [name, e] : metrics_) {
+    const auto at = reinterpret_cast<std::uintptr_t>(e.counter);
+    if (e.type == MetricType::kCounter && at >= begin && at < begin + size) {
+      e.owned.value_ = *e.counter;
+      e.counter = &e.owned.value_;
+    }
+  }
 }
 
 Gauge& MetricsRegistry::GetGauge(const std::string& name) {
@@ -146,7 +169,7 @@ double MetricsRegistry::ScalarValue(const Entry& e) {
   // Every entry holds the object its Get* call created.
   switch (e.type) {
     case MetricType::kCounter:
-      return static_cast<double>(e.counter->value());
+      return static_cast<double>(*e.counter);
     case MetricType::kGauge:
       return e.gauge->value();
     case MetricType::kHistogram:

@@ -2,7 +2,7 @@
 // histograms.
 //
 // Every layer of the system (home agent, mobile host, IP stacks, media,
-// fault injectors) registers its counters here so that one registry holds a
+// fault injectors) names its counters here so that one registry holds a
 // complete, uniformly named picture of a run — the observability substrate
 // the benchmark exporter (export.h) and the time-series sampler
 // (time_series.h) read from.
@@ -42,42 +42,16 @@ const char* MetricTypeName(MetricType type);
 // diffable.
 std::string FormatMetricValue(double value);
 
-// Monotonically increasing event count.
+// Monotonically increasing event count the registry stores itself, for a
+// name no component owns (GetCounter).
 class Counter {
  public:
   void Add(uint64_t n = 1) { value_ += n; }
   uint64_t value() const { return value_; }
 
  private:
+  friend class MetricsRegistry;
   uint64_t value_ = 0;
-};
-
-// A handle to a registry-owned Counter that behaves like the plain uint64_t
-// field it replaced: components migrated onto the registry keep their
-// `++counters_.field` / `counters_.field += n` call sites unchanged, and
-// snapshot accessors read through the implicit conversion. Null-safe: a
-// default-constructed (unwired) handle counts nothing and reads zero.
-class CounterRef {
- public:
-  CounterRef() = default;
-  explicit CounterRef(Counter* counter) : counter_(counter) {}
-
-  CounterRef& operator++() {
-    if (counter_ != nullptr) {
-      counter_->Add(1);
-    }
-    return *this;
-  }
-  CounterRef& operator+=(uint64_t n) {
-    if (counter_ != nullptr) {
-      counter_->Add(n);
-    }
-    return *this;
-  }
-  operator uint64_t() const { return counter_ != nullptr ? counter_->value() : 0; }
-
- private:
-  Counter* counter_ = nullptr;
 };
 
 // A value that can go up and down (binding count, queue depth). A gauge may
@@ -164,6 +138,12 @@ struct MetricSnapshot {
 // programming error and aborts. Not thread-safe (the simulator is
 // single-threaded by design).
 //
+// A component's counters are plain uint64_t fields of its own Counters
+// struct: it names each field once with BindCounter in its constructor and
+// calls ReleaseCounters in its destructor. Reads of a bound name read the
+// field in place; after the release they read its final value, so an export
+// taken once the owner is gone reads what it read before.
+//
 // Name-keyed calls (Get*, Find*, ReadValue, Contains, TypeOf, Remove) are for
 // set-up and export. A component that records or reads on a periodic or
 // per-packet path resolves each name once and keeps the returned reference
@@ -176,8 +156,19 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
+  // Dies when a component has bound `name`.
   Counter& GetCounter(const std::string& name);
-  CounterRef GetCounterRef(const std::string& name) { return CounterRef(&GetCounter(name)); }
+  // Names `*field`, a counter the caller owns and keeps at a fixed address
+  // until ReleaseCounters. Dies when another field is bound to `name`. A
+  // name whose owner was released (a component re-created under a live
+  // registry, as auth_test and ha_admission_test do with the home agent)
+  // continues from the released value: it is added into `*field`.
+  void BindCounter(const std::string& name, uint64_t* field);
+  // Ends the binding of every field of `counters`, keeping each final value.
+  template <typename Counters>
+  void ReleaseCounters(const Counters& counters) {
+    Release(&counters, sizeof(Counters));
+  }
   Gauge& GetGauge(const std::string& name);
   // Creates (or rebinds) a gauge whose reads call `probe`.
   Gauge& GetProbeGauge(const std::string& name, std::function<double()> probe);
@@ -226,7 +217,10 @@ class MetricsRegistry {
  private:
   struct Entry {
     MetricType type = MetricType::kCounter;
-    std::unique_ptr<Counter> counter;
+    // A counter reads *counter: an owner's bound field, or `owned` (a
+    // GetCounter name, or a released field's final value).
+    const uint64_t* counter = nullptr;
+    Counter owned;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
@@ -235,6 +229,7 @@ class MetricsRegistry {
   using Map = std::map<std::string, Entry, std::less<>>;
 
   Entry& GetEntry(const std::string& name, MetricType type);
+  void Release(const void* first, size_t size);
   Map::const_iterator Find(const std::string& name) const;
   static double ScalarValue(const Entry& e);
 

@@ -8,11 +8,13 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/node/ip_stack.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/export.h"
 #include "src/telemetry/metrics.h"
@@ -23,7 +25,7 @@
 namespace msn {
 namespace {
 
-// --- Counter / CounterRef -----------------------------------------------------
+// --- Counter / bound counters -------------------------------------------------
 
 TEST(CounterTest, AddAndRead) {
   Counter c;
@@ -33,26 +35,88 @@ TEST(CounterTest, AddAndRead) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(CounterRefTest, UnwiredHandleIsNullSafe) {
-  CounterRef ref;  // Not bound to any registry.
-  ++ref;
-  ref += 100;
-  EXPECT_EQ(static_cast<uint64_t>(ref), 0u);
+// A component-shaped owner: plain counter fields, named once on
+// construction and released on destruction.
+struct CountingOwner {
+  struct Counters {
+    uint64_t requests_received = 0;
+    uint64_t packets_tunneled = 0;
+  };
+
+  explicit CountingOwner(MetricsRegistry& registry) : metrics(registry) {
+    metrics.BindCounter("ha.requests_received", &counters.requests_received);
+    metrics.BindCounter("ha.packets_tunneled", &counters.packets_tunneled);
+  }
+  ~CountingOwner() { metrics.ReleaseCounters(counters); }
+
+  MetricsRegistry& metrics;
+  Counters counters;
+};
+
+TEST(BoundCounterTest, ReadsTheOwnersFieldInEveryExport) {
+  MetricsRegistry registry;
+  CountingOwner owner(registry);
+  ++owner.counters.requests_received;
+  owner.counters.packets_tunneled += 7;
+  registry.GetGauge("ha.bindings").Set(1.0);
+
+  const std::vector<MetricSnapshot> snap = registry.Snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap[1].name, "ha.packets_tunneled");
+  EXPECT_EQ(snap[1].type, MetricType::kCounter);
+  EXPECT_DOUBLE_EQ(snap[1].value, 7.0);
+  EXPECT_EQ(snap[2].name, "ha.requests_received");
+  EXPECT_DOUBLE_EQ(snap[2].value, 1.0);
+
+  // Reads go through to the field: a later increment shows without a rebind.
+  owner.counters.requests_received += 4;
+  const std::map<std::string, double> scalars = registry.ScalarSnapshot("ha.");
+  EXPECT_DOUBLE_EQ(scalars.at("ha.requests_received"), 5.0);
+  EXPECT_DOUBLE_EQ(scalars.at("ha.packets_tunneled"), 7.0);
+
+  std::vector<std::pair<std::string, double>> walked;
+  registry.ForEachScalar("ha.", [&walked](std::string_view name, double value) {
+    walked.emplace_back(std::string(name), value);
+  });
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"ha.bindings", 1.0}, {"ha.packets_tunneled", 7.0}, {"ha.requests_received", 5.0}};
+  EXPECT_EQ(walked, expected);
+  EXPECT_EQ(registry.ReadValue("ha.requests_received"), 5.0);
 }
 
-TEST(CounterRefTest, WiredHandleCountsIntoRegistry) {
+TEST(BoundCounterTest, ExportAfterTheOwnerIsGoneReadsItsFinalValue) {
   MetricsRegistry registry;
-  CounterRef ref = registry.GetCounterRef("ha.requests_received");
-  ++ref;
-  ++ref;
-  ref += 3;
-  EXPECT_EQ(static_cast<uint64_t>(ref), 5u);
-  EXPECT_EQ(registry.GetCounter("ha.requests_received").value(), 5u);
+  auto owner = std::make_unique<CountingOwner>(registry);
+  owner->counters.requests_received = 12;
+  owner->counters.packets_tunneled = 3;
+  const std::map<std::string, double> before = registry.ScalarSnapshot();
+  owner.reset();  // Frees the fields; under ASan a stale read would fault.
 
-  // A second ref to the same name shares the same underlying counter.
-  CounterRef again = registry.GetCounterRef("ha.requests_received");
-  ++again;
-  EXPECT_EQ(static_cast<uint64_t>(ref), 6u);
+  EXPECT_EQ(registry.ScalarSnapshot(), before);
+  const std::vector<MetricSnapshot> snap = registry.Snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].type, MetricType::kCounter);
+  EXPECT_DOUBLE_EQ(snap[0].value, 3.0);
+  EXPECT_DOUBLE_EQ(snap[1].value, 12.0);
+}
+
+TEST(BoundCounterDeathTest, SecondBindOfALiveNameDies) {
+  MetricsRegistry registry;
+  CountingOwner owner(registry);
+  uint64_t other = 0;
+  EXPECT_DEATH(registry.BindCounter("ha.requests_received", &other),
+               "counter 'ha.requests_received' is already bound");
+  EXPECT_DEATH((void)registry.GetCounter("ha.packets_tunneled"),
+               "counter 'ha.packets_tunneled' is bound by its owner");
+}
+
+TEST(BoundCounterTest, IpStackWithoutARegistryStillCounts) {
+  Simulator sim(1);
+  IpStack stack(sim, "solo");  // No registry: nothing is named.
+  stack.SendDatagram(Ipv4Address::Any(), Ipv4Address(99, 9, 9, 9), IpProto::kTcp, {1});
+  sim.Run();
+  EXPECT_EQ(stack.counters().datagrams_sent, 1u);
+  EXPECT_EQ(stack.counters().drop_no_route, 1u);
 }
 
 // --- Gauge --------------------------------------------------------------------
@@ -246,7 +310,8 @@ TEST(MetricsRegistryTest, LookupsCountNameKeyedCallsOnly) {
   MetricsRegistry registry;
   EXPECT_EQ(registry.lookups(), 0u);
   Counter& c = registry.GetCounter("ip.mh.drop_ttl");
-  registry.GetCounterRef("ip.mh.drop_no_route");
+  uint64_t drop_no_route = 0;
+  registry.BindCounter("ip.mh.drop_no_route", &drop_no_route);
   registry.GetGauge("ha.bindings");
   registry.GetProbeGauge("dev.mh.eth0.queue_depth", [] { return 0.0; });
   registry.GetHistogram("mh.handoff_ms");
@@ -392,8 +457,9 @@ TEST(FormatMetricValueTest, IntegersPrintWithoutDecimalPoint) {
 // that only appears mid-run) every 50 ms for one simulated second.
 std::string RunSampledScenario(uint64_t seed) {
   Simulator sim(seed);
+  uint64_t events = 0;
   MetricsRegistry registry;
-  CounterRef events = registry.GetCounterRef("evt.count");
+  registry.BindCounter("evt.count", &events);
   Gauge& depth = registry.GetGauge("evt.depth");
 
   TimeSeriesSampler sampler(sim, registry, Milliseconds(50));
