@@ -120,14 +120,22 @@ class MsnLintTest(unittest.TestCase):
         self.tree.write("src/mip/bad.cc",
                         'auto& a = reg.GetCounter("HA.Requests");\n'
                         'auto& b = reg.GetGauge("bindings");\n'
-                        'auto& c = reg.GetHistogram("ha processing ms");\n')
+                        'auto& c = reg.GetHistogram("ha processing ms");\n'
+                        'reg.BindCounter("Mh.Renewals", &counters_.renewals);\n')
+        self.assertEqual(rules_of(run_lint(self.tree.root)), ["telemetry/metric-name"] * 4)
+
+    def test_bound_counter_names_checked(self):
+        self.tree.write("src/mip/bad.cc",
+                        'metrics_->BindCounter("IP." + name, &counters_.sent);\n'
+                        'metrics_->BindCounter("bogus.requests", &counters_.requests);\n'
+                        'metrics_->BindCounter(\n    "ha.3.bindings", &counters_.bindings);\n')
         self.assertEqual(rules_of(run_lint(self.tree.root)), ["telemetry/metric-name"] * 3)
 
     def test_good_metric_names_ok(self):
         self.tree.write("src/mip/ok.cc",
                         'auto& a = reg.GetCounter("ha.requests_received");\n'
                         'auto& b = reg.GetGauge("dev.mh.eth0.queue_depth");\n'
-                        'auto r = reg.GetCounterRef(prefix + "drop_ttl");\n'
+                        'reg.BindCounter(prefix + "drop_ttl", &counters_.drop_ttl);\n'
                         'auto& h = reg.GetHistogram("mh.handoff_ms", 0.01);\n')
         self.assertEqual(run_lint(self.tree.root), [])
 
@@ -145,14 +153,14 @@ class MsnLintTest(unittest.TestCase):
     def test_check_namespace_ok(self):
         self.tree.write("src/check/ok.cc",
                         'auto& a = reg.GetCounter("check.oracle_checks");\n'
-                        'auto& b = reg.GetCounterRef("check." + oracle);\n')
+                        'reg.BindCounter("check." + oracle, &counters_.oracle);\n')
         self.assertEqual(run_lint(self.tree.root), [])
 
     def test_registered_subnamespaces_ok(self):
         self.tree.write("src/mip/ok.cc",
                         'auto& a = reg.GetCounter("ha.admission.denied");\n'
                         'auto& b = reg.GetGauge("ha.shard.0.queue_depth");\n'
-                        'auto& c = reg.GetCounterRef("ha.backup.shard.15.processed");\n')
+                        'reg.BindCounter("ha.backup.shard.15.processed", &shard.processed);\n')
         self.assertEqual(run_lint(self.tree.root), [])
 
     def test_digit_segment_outside_indexed_prefix_flagged(self):

@@ -97,7 +97,8 @@ USING_NAMESPACE_RE = re.compile(r"\busing\s+namespace\b")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 
 METRIC_CALL_RE = re.compile(
-    r"Get(?:Counter|CounterRef|Gauge|ProbeGauge|Histogram)\s*\(\s*(\"(?:[^\"\\]|\\.)*\")"
+    r"(?:Get(?:Counter|Gauge|ProbeGauge|Histogram)|BindCounter)"
+    r"\s*\(\s*(\"(?:[^\"\\]|\\.)*\")"
     r"\s*([,)+])?"
 )
 METRIC_FULL_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
