@@ -772,7 +772,7 @@ void HomeAgent::RemoveBinding(Ipv4Address home_address, bool expired) {
 void HomeAgent::ScheduleExpiry(Ipv4Address home_address, Time expires) {
   const uint64_t seq = node_.sim().ReserveSequence(1);
   expiry_heap_.push_back(ExpiryEntry{expires, seq, home_address});
-  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), ExpiresAfter);
+  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), ExpiresAfter{});
   if (expiry_heap_.front().seq == seq) {
     node_.sim().Cancel(expiry_timer_);
     ArmExpiryTimer();
@@ -785,7 +785,7 @@ void HomeAgent::ArmExpiryTimer() {
 }
 
 void HomeAgent::OnExpiryTimer() {
-  std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), ExpiresAfter);
+  std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), ExpiresAfter{});
   const ExpiryEntry entry = expiry_heap_.back();
   expiry_heap_.pop_back();
   // Re-arm first: RemoveBinding's observer and replication sink may install

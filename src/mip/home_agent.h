@@ -330,10 +330,13 @@ class HomeAgent {
     uint64_t seq;
     Ipv4Address home;
   };
-  // Expiry-heap comparator: true when `a` fires after `b`.
-  static bool ExpiresAfter(const ExpiryEntry& a, const ExpiryEntry& b) {
-    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-  }
+  // Expiry-heap comparator: true when `a` fires after `b`. A function
+  // object, so push_heap/pop_heap inline it.
+  struct ExpiresAfter {
+    bool operator()(const ExpiryEntry& a, const ExpiryEntry& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
 
   [[nodiscard]] size_t ShardIndexOf(Ipv4Address home_address) const;
   Shard& ShardOf(Ipv4Address home_address);

@@ -25,7 +25,7 @@ EventId EventQueue::Push(Time when, uint64_t seq, uint32_t slot) {
   MSN_ASSERT(seq < next_seq_) << "sequence number " << seq << " was never reserved";
   const uint32_t gen = SlotAt(slot).gen;
   heap_.push_back(Item{when, seq, slot, gen});
-  std::push_heap(heap_.begin(), heap_.end(), After);
+  std::push_heap(heap_.begin(), heap_.end(), After{});
   ++lane_stats_.heap_scheduled;
   ++live_count_;
   return EventId((static_cast<uint64_t>(gen) << 32) | (slot + 1));
@@ -56,11 +56,11 @@ void EventQueue::PurgeIfMostlyCancelled() {
   // (when, seq) is a strict total order, so rebuilding the heap from the live
   // items cannot change which one pops next.
   std::erase_if(heap_, [this](const Item& item) { return SlotAt(item.slot).gen != item.gen; });
-  std::make_heap(heap_.begin(), heap_.end(), After);
+  std::make_heap(heap_.begin(), heap_.end(), After{});
 }
 
 void EventQueue::PopHeapItem() {
-  std::pop_heap(heap_.begin(), heap_.end(), After);
+  std::pop_heap(heap_.begin(), heap_.end(), After{});
   heap_.pop_back();
 }
 

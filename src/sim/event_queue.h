@@ -142,13 +142,16 @@ class EventQueue {
   }
   const Slot& SlotAt(uint32_t slot) const { return const_cast<EventQueue*>(this)->SlotAt(slot); }
 
-  // Min-heap comparator: true when `a` fires after `b`.
-  static bool After(const Item& a, const Item& b) {
-    if (a.when != b.when) {
-      return a.when > b.when;
+  // Min-heap comparator: true when `a` fires after `b`. A function object,
+  // not a function pointer, so the heap algorithms inline the comparison.
+  struct After {
+    bool operator()(const Item& a, const Item& b) const {
+      if (a.when != b.when) {
+        return a.when > b.when;
+      }
+      return a.seq > b.seq;
     }
-    return a.seq > b.seq;
-  }
+  };
 
   // A slot with an empty callback, off the free list or freshly opened.
   uint32_t AcquireSlot();
