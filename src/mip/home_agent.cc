@@ -7,6 +7,24 @@
 #include "src/util/logging.h"
 
 namespace msn {
+namespace {
+
+// The keys of one per-home table in ascending address order: the order a
+// traversal sees when it can reach behaviour or a reported message.
+template <typename Table>
+std::vector<Ipv4Address> SortedHomes(const Table& table) {
+  std::vector<Ipv4Address> homes;
+  homes.reserve(table.size());
+  // Collected, then sorted: bucket order cannot reach the result.
+  // msn-analyze: allow(determinism/unordered-iteration)
+  for (const auto& entry : table) {
+    homes.push_back(entry.first);
+  }
+  std::sort(homes.begin(), homes.end());
+  return homes;
+}
+
+}  // namespace
 
 HomeAgent::HomeAgent(Node& node, Config config)
     : node_(node), config_(std::move(config)), role_(config_.initial_role) {
@@ -90,8 +108,13 @@ HomeAgent::~HomeAgent() {
   node_.sim().Cancel(expiry_timer_);
   node_.stack().ClearRouteLookupOverride();
   if (config_.home_device != nullptr) {
-    for (Ipv4Address home : SortedBoundHomes()) {
-      node_.stack().arp().RemoveProxyEntry(config_.home_device, home);
+    for (const Shard& shard : shards_) {
+      // Each erase touches only its own proxy entry: bucket order cannot
+      // reach behavior.
+      // msn-analyze: allow(determinism/unordered-iteration)
+      for (const auto& [home, binding] : shard.by_home) {
+        node_.stack().arp().RemoveProxyEntry(config_.home_device, home);
+      }
     }
   }
   metrics_->ReleaseCounters(counters_);
@@ -118,13 +141,13 @@ const HomeAgent::Shard& HomeAgent::ShardOf(Ipv4Address home_address) const {
 size_t HomeAgent::binding_count() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.bindings.size();
+    total += shard.by_home.size();
   }
   return total;
 }
 
 size_t HomeAgent::ShardBindingCount(size_t shard_index) const {
-  return shards_[shard_index].bindings.size();
+  return shards_[shard_index].by_home.size();
 }
 
 size_t HomeAgent::ShardQueueDepth(size_t shard_index) const {
@@ -134,11 +157,12 @@ size_t HomeAgent::ShardQueueDepth(size_t shard_index) const {
 std::string HomeAgent::ShardConsistencyError() const {
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = shards_[i];
-    for (const auto& [home, binding] : shard.bindings) {
+    for (Ipv4Address home : SortedHomes(shard.by_home)) {
       if (ShardIndexOf(home) != i) {
         return home.ToString() + " stored in shard " + std::to_string(i) +
                " but hashes to shard " + std::to_string(ShardIndexOf(home));
       }
+      const Binding& binding = shard.by_home.at(home);
       if (binding.home_address != home) {
         return "binding keyed by " + home.ToString() + " names " +
                binding.home_address.ToString();
@@ -149,7 +173,8 @@ std::string HomeAgent::ShardConsistencyError() const {
              std::to_string(shard.queued_by_home.size()) + " entries for " +
              std::to_string(shard.queue.size()) + " queued requests";
     }
-    for (const auto& [home, slot] : shard.queued_by_home) {
+    for (Ipv4Address home : SortedHomes(shard.queued_by_home)) {
+      const PendingRequest* slot = shard.queued_by_home.at(home);
       if (ShardIndexOf(home) != i) {
         return home.ToString() + " queued in shard " + std::to_string(i) +
                " but hashes to shard " + std::to_string(ShardIndexOf(home));
@@ -166,7 +191,9 @@ std::vector<Ipv4Address> HomeAgent::SortedBoundHomes() const {
   std::vector<Ipv4Address> homes;
   homes.reserve(binding_count());
   for (const Shard& shard : shards_) {
-    for (const auto& [home, binding] : shard.bindings) {
+    // Collected, then sorted: bucket order cannot reach the result.
+    // msn-analyze: allow(determinism/unordered-iteration)
+    for (const auto& [home, binding] : shard.by_home) {
       homes.push_back(home);
     }
   }
@@ -198,13 +225,13 @@ void HomeAgent::SetAuthKey(Ipv4Address home_address, const MipAuthKey& key) {
 
 bool HomeAgent::HasBinding(Ipv4Address home_address) const {
   const Shard& shard = ShardOf(home_address);
-  return shard.bindings.find(home_address) != shard.bindings.end();
+  return shard.by_home.find(home_address) != shard.by_home.end();
 }
 
 std::optional<HomeAgent::Binding> HomeAgent::GetBinding(Ipv4Address home_address) const {
   const Shard& shard = ShardOf(home_address);
-  auto it = shard.bindings.find(home_address);
-  if (it == shard.bindings.end()) {
+  auto it = shard.by_home.find(home_address);
+  if (it == shard.by_home.end()) {
     return std::nullopt;
   }
   return it->second;
@@ -218,8 +245,8 @@ std::optional<RouteDecision> HomeAgent::RouteOverride(const RouteQuery& query) {
     return std::nullopt;
   }
   const Shard& shard = ShardOf(query.dst);
-  auto it = shard.bindings.find(query.dst);
-  if (it == shard.bindings.end()) {
+  auto it = shard.by_home.find(query.dst);
+  if (it == shard.by_home.end()) {
     return std::nullopt;
   }
   RouteDecision decision;
@@ -232,8 +259,8 @@ std::optional<RouteDecision> HomeAgent::RouteOverride(const RouteQuery& query) {
 // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
 void HomeAgent::EncapsulateAndTunnel(const Ipv4Header& inner, Packet inner_wire) {
   Shard& shard = ShardOf(inner.dst);
-  auto it = shard.bindings.find(inner.dst);
-  if (it == shard.bindings.end()) {
+  auto it = shard.by_home.find(inner.dst);
+  if (it == shard.by_home.end()) {
     ++counters_.tunnel_drops_no_binding;
     return;
   }
@@ -362,8 +389,8 @@ void HomeAgent::ApplyMutation(const BindingMutation& mutation) {
       binding.registered_at = node_.sim().Now();
       binding.decapsulates_self = mutation.decapsulates_self;
       Shard& shard = ShardOf(mutation.home_address);
-      shard.bindings[mutation.home_address] = binding;
-      shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
+      shard.by_home[mutation.home_address] = binding;
+      shard.bindings_gauge->Set(static_cast<double>(shard.by_home.size()));
       SetGlobalBindingsGauge();
       last_identification_[mutation.home_address] = mutation.identification;
       resync_required_.erase(mutation.home_address);
@@ -392,7 +419,7 @@ HaBindingState HomeAgent::SnapshotState() const {
   // Shard-merged and address-sorted, preserving the documented snapshot
   // order regardless of the shard layout (peers may shard differently).
   for (Ipv4Address home : SortedBoundHomes()) {
-    const auto& binding = ShardOf(home).bindings.at(home);
+    const auto& binding = ShardOf(home).by_home.at(home);
     HaBindingState::Entry entry;
     entry.home_address = home;
     entry.care_of = binding.care_of;
@@ -404,10 +431,11 @@ HaBindingState HomeAgent::SnapshotState() const {
     entry.decapsulates_self = binding.decapsulates_self;
     state.bindings.push_back(entry);
   }
-  state.identifications.reserve(last_identification_.size());
-  for (const auto& [home, identification] : last_identification_) {
-    state.identifications.emplace_back(home, identification);
-  }
+  // Address-sorted, as documented on HaBindingState; keys are unique, so the
+  // pair order is the address order.
+  // msn-analyze: allow(determinism/unordered-iteration)
+  state.identifications.assign(last_identification_.begin(), last_identification_.end());
+  std::sort(state.identifications.begin(), state.identifications.end());
   return state;
 }
 
@@ -429,8 +457,8 @@ void HomeAgent::AdoptState(const HaBindingState& state) {
     binding.registered_at = node_.sim().Now();
     binding.decapsulates_self = entry.decapsulates_self;
     Shard& shard = ShardOf(entry.home_address);
-    shard.bindings[entry.home_address] = binding;
-    shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
+    shard.by_home[entry.home_address] = binding;
+    shard.bindings_gauge->Set(static_cast<double>(shard.by_home.size()));
     ScheduleExpiry(entry.home_address, binding.expires);
     if (serving()) {
       InstallServingArpState(entry.home_address);
@@ -684,12 +712,12 @@ void HomeAgent::InstallBinding(const RegistrationRequest& request,
                                uint16_t granted_lifetime_sec) {
   const Ipv4Address home = request.home_address;
   Shard& shard = ShardOf(home);
-  auto it = shard.bindings.find(home);
+  auto it = shard.by_home.find(home);
   const Ipv4Address old_care_of =
-      it != shard.bindings.end() ? it->second.care_of : Ipv4Address::Any();
+      it != shard.by_home.end() ? it->second.care_of : Ipv4Address::Any();
 
   const bool old_was_foreign_agent =
-      it != shard.bindings.end() && !it->second.decapsulates_self;
+      it != shard.by_home.end() && !it->second.decapsulates_self;
 
   Binding binding;
   binding.home_address = home;
@@ -706,8 +734,8 @@ void HomeAgent::InstallBinding(const RegistrationRequest& request,
   MSN_CHECK(config_.home_subnet.Contains(home))
       << home.ToString() << " outside " << config_.home_subnet.ToString();
   MSN_ASSERT(!binding.care_of.IsAny()) << "registration with an empty care-of address";
-  shard.bindings[home] = binding;
-  shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
+  shard.by_home[home] = binding;
+  shard.bindings_gauge->Set(static_cast<double>(shard.by_home.size()));
   SetGlobalBindingsGauge();
 
   // Previous-FA notification: late tunnel packets still headed to the old
@@ -744,13 +772,13 @@ void HomeAgent::InstallBinding(const RegistrationRequest& request,
 
 void HomeAgent::RemoveBinding(Ipv4Address home_address, bool expired) {
   Shard& shard = ShardOf(home_address);
-  auto it = shard.bindings.find(home_address);
-  if (it == shard.bindings.end()) {
+  auto it = shard.by_home.find(home_address);
+  if (it == shard.by_home.end()) {
     return;
   }
   const Ipv4Address old_care_of = it->second.care_of;
-  shard.bindings.erase(it);
-  shard.bindings_gauge->Set(static_cast<double>(shard.bindings.size()));
+  shard.by_home.erase(it);
+  shard.bindings_gauge->Set(static_cast<double>(shard.by_home.size()));
   SetGlobalBindingsGauge();
   RemoveServingArpState(home_address);
   if (expired) {
@@ -796,8 +824,8 @@ void HomeAgent::OnExpiryTimer() {
     ArmExpiryTimer();
   }
   const Shard& shard = ShardOf(entry.home);
-  auto it = shard.bindings.find(entry.home);
-  if (it == shard.bindings.end() || it->second.expires > entry.when) {
+  auto it = shard.by_home.find(entry.home);
+  if (it == shard.by_home.end() || it->second.expires > entry.when) {
     return;  // Removed or refreshed meanwhile.
   }
   RemoveBinding(entry.home, /*expired=*/true);

@@ -48,6 +48,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -112,7 +113,7 @@ struct HaBindingState {
     bool decapsulates_self = true;
   };
   std::vector<Entry> bindings;
-  // Sorted by address (std::map iteration order) for determinism.
+  // Sorted by address for determinism, like `bindings`.
   std::vector<std::pair<Ipv4Address, uint64_t>> identifications;
 };
 
@@ -306,12 +307,16 @@ class HomeAgent {
   // One logical shard: its slice of the binding table, its request queue,
   // and its daemon's busy window. std::deque keeps references to queued
   // elements stable across push_back, which the supersede index relies on.
+  // The per-home tables are hashed: the hot paths only look up, insert and
+  // erase one home, and every traversal whose order can reach behaviour
+  // goes through sorted keys (SortedBoundHomes, SortedHomes).
   struct Shard {
-    std::map<Ipv4Address, Binding> bindings;
+    // home address -> binding.
+    std::unordered_map<Ipv4Address, Binding> by_home;
     std::deque<PendingRequest> queue;
     // home address -> queued slot, for retransmit supersede. Entries are
     // erased as their slot is dequeued.
-    std::map<Ipv4Address, PendingRequest*> queued_by_home;
+    std::unordered_map<Ipv4Address, PendingRequest*> queued_by_home;
     Time busy_until = Time::Zero();
     bool batch_scheduled = false;
     // Denials issued since the shard's daemon last ran a batch. The denial
@@ -388,9 +393,9 @@ class HomeAgent {
   // fixed at construction, so Shard pointers/references stay valid.
   std::vector<Shard> shards_;
   // Highest identification seen per home address; survives deregistration to
-  // reject replays. Kept as one table: it is touched only on the (batched)
-  // registration path, never on the per-packet datapath.
-  std::map<Ipv4Address, uint64_t> last_identification_;
+  // reject replays. One table for all shards, touched only on the (batched)
+  // registration path by point lookups; SnapshotState sorts it by address.
+  std::unordered_map<Ipv4Address, uint64_t> last_identification_;
   std::set<Ipv4Address> authorized_;
   std::map<Ipv4Address, MipAuthKey> auth_keys_;
   BindingObserver observer_;

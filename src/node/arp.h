@@ -15,9 +15,9 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "src/net/frame.h"
@@ -97,6 +97,15 @@ class ArpService {
     MacAddress mac;
     Time expires;
   };
+  // A proxied (device, address) pair; the hash mixes both halves, so one
+  // address proxied on two devices is two independent entries.
+  using ProxyKey = std::pair<NetDevice*, Ipv4Address>;
+  struct ProxyKeyHash {
+    size_t operator()(const ProxyKey& key) const noexcept {
+      return std::hash<NetDevice*>()(key.first) * 0x9e3779b97f4a7c15ull ^
+             std::hash<Ipv4Address>()(key.second);
+    }
+  };
   struct PendingResolution {
     NetDevice* device;
     int attempts = 0;
@@ -124,15 +133,16 @@ class ArpService {
 
   Simulator& sim_;
   IpStack& stack_;
-  // Hash maps are safe here only because nothing traverses them: lookups are
-  // point queries (find/erase) and expiry is checked lazily per lookup, so
+  // Hash tables are safe here only because nothing traverses them: lookups
+  // are point queries (find/erase) and expiry is checked lazily per lookup, so
   // bucket order can never reach the wire. Any future sweep (cache aging,
   // pending-timeout scan) must use sorted traversal — msn_analyze's
   // determinism/unordered-iteration rule flags the loop if one appears.
   std::unordered_map<Ipv4Address, CacheEntry> cache_;
   std::unordered_map<Ipv4Address, PendingResolution> pending_;
-  // Proxy set keyed by (device, ip); a HA typically proxies on one interface.
-  std::set<std::pair<NetDevice*, Ipv4Address>> proxies_;
+  // Proxy set keyed by (device, ip); a HA typically proxies on one interface,
+  // one entry per bound home address.
+  std::unordered_set<ProxyKey, ProxyKeyHash> proxies_;
   // Gratuitous repeats in fire order: each is queued at the current time with
   // the same fixed spacing and a fresh sequence number, so (when, seq) only
   // grows along the queue. Only the front has a simulator event
