@@ -385,7 +385,8 @@ void OracleSuite::CheckQuietProbeLoss() {
     if (hi <= lo) {
       continue;
     }
-    for (const auto& [seq, rec] : records) {
+    for (uint32_t seq = 0; seq < records.size(); ++seq) {
+      const ProbeSender::ProbeRecord& rec = records[seq];
       if (rec.sent_at < lo || rec.sent_at >= hi) {
         continue;
       }

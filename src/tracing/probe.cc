@@ -37,7 +37,7 @@ void ProbeSender::Stop() { task_->Stop(); }
 
 void ProbeSender::SendProbe() {
   const uint32_t seq = next_seq_++;
-  records_[seq] = ProbeRecord{node_.sim().Now(), std::nullopt};
+  records_.push_back(ProbeRecord{node_.sim().Now(), std::nullopt});
   ByteWriter w(12);
   w.WriteU32(seq);
   w.WriteU64(static_cast<uint64_t>(node_.sim().Now().nanos()));
@@ -50,17 +50,16 @@ void ProbeSender::OnEcho(const std::vector<uint8_t>& data) {
   if (!r.ok()) {
     return;
   }
-  auto it = records_.find(seq);
-  if (it == records_.end() || it->second.echoed_at.has_value()) {
+  if (seq >= records_.size() || records_[seq].echoed_at.has_value()) {
     return;  // Unknown or duplicate echo.
   }
-  it->second.echoed_at = node_.sim().Now();
+  records_[seq].echoed_at = node_.sim().Now();
   ++received_;
 }
 
 uint64_t ProbeSender::TotalLost() const {
   uint64_t lost = 0;
-  for (const auto& [seq, rec] : records_) {
+  for (const ProbeRecord& rec : records_) {
     if (!rec.echoed_at.has_value()) {
       ++lost;
     }
@@ -70,7 +69,7 @@ uint64_t ProbeSender::TotalLost() const {
 
 uint64_t ProbeSender::LostInWindow(Time from, Time to) const {
   uint64_t lost = 0;
-  for (const auto& [seq, rec] : records_) {
+  for (const ProbeRecord& rec : records_) {
     if (rec.sent_at >= from && rec.sent_at < to && !rec.echoed_at.has_value()) {
       ++lost;
     }
@@ -80,7 +79,7 @@ uint64_t ProbeSender::LostInWindow(Time from, Time to) const {
 
 std::vector<Duration> ProbeSender::RttsInWindow(Time from, Time to) const {
   std::vector<Duration> rtts;
-  for (const auto& [seq, rec] : records_) {
+  for (const ProbeRecord& rec : records_) {
     if (rec.sent_at >= from && rec.sent_at < to && rec.echoed_at.has_value()) {
       rtts.push_back(rec.Rtt());
     }

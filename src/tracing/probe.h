@@ -7,9 +7,9 @@
 #define MSN_SRC_TRACING_PROBE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "src/node/node.h"
 #include "src/node/udp.h"
@@ -60,7 +60,8 @@ class ProbeSender {
   uint64_t LostInWindow(Time from, Time to) const;
   // RTT of echoed probes sent in [from, to); empty if none.
   std::vector<Duration> RttsInWindow(Time from, Time to) const;
-  const std::map<uint32_t, ProbeRecord>& records() const { return records_; }
+  // One record per probe sent, indexed by its sequence number.
+  const std::vector<ProbeRecord>& records() const { return records_; }
 
  private:
   void SendProbe();
@@ -72,7 +73,7 @@ class ProbeSender {
   std::unique_ptr<PeriodicTask> task_;
   uint32_t next_seq_ = 0;
   uint64_t received_ = 0;
-  std::map<uint32_t, ProbeRecord> records_;
+  std::vector<ProbeRecord> records_;
 };
 
 }  // namespace msn

@@ -94,7 +94,8 @@ TEST_F(ProbeFixture, DuplicateEchoesNotDoubleCounted) {
   sender.Stop();
   tb_->RunFor(Seconds(1));
   EXPECT_LE(sender.received(), sender.sent());
-  for (const auto& [seq, rec] : sender.records()) {
+  ASSERT_EQ(sender.records().size(), sender.sent());
+  for (const ProbeSender::ProbeRecord& rec : sender.records()) {
     if (rec.echoed_at.has_value()) {
       EXPECT_GE(*rec.echoed_at, rec.sent_at);
     }
