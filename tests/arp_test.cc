@@ -102,6 +102,57 @@ TEST_F(ArpFixture, ProxyArpAnswersForAbsentHost) {
   EXPECT_FALSE(b_.stack().arp().IsProxying(b_dev_, Ipv4Address(10, 0, 0, 50)));
 }
 
+// Proxy entries are per device: an address proxied on one interface is
+// neither reported nor answered for on another interface of the same node,
+// and removing it from one interface leaves the other's entry alone.
+TEST_F(ArpFixture, ProxyEntryIsNotReportedForAnotherDevice) {
+  BroadcastMedium seg2(sim_, "seg2", EthernetMediumParams());
+  Node d(sim_, "d");
+  EthernetDevice* d_eth0 = d.AddEthernet("eth0", &seg_);
+  EthernetDevice* d_eth1 = d.AddEthernet("eth1", &seg2);
+  d_eth0->ForceUp();
+  d_eth1->ForceUp();
+  d.ConfigureInterface(d_eth0, "10.0.0.4/24");
+  d.ConfigureInterface(d_eth1, "10.0.1.4/24");
+  const Ipv4Address ip(10, 0, 0, 50);
+  d.stack().arp().AddProxyEntry(d_eth1, ip);
+  EXPECT_TRUE(d.stack().arp().IsProxying(d_eth1, ip));
+  EXPECT_FALSE(d.stack().arp().IsProxying(d_eth0, ip));
+
+  // Asked on eth0's segment, d stays silent.
+  std::optional<MacAddress> resolved = MacAddress::FromId(77);
+  a_.stack().arp().Resolve(a_dev_, ip, [&](std::optional<MacAddress> mac) { resolved = mac; });
+  sim_.Run();
+  EXPECT_FALSE(resolved.has_value());
+  EXPECT_EQ(d.stack().arp().counters().proxy_replies_sent, 0u);
+}
+
+TEST_F(ArpFixture, RemovingAProxyEntryOnOneDeviceKeepsTheOther) {
+  BroadcastMedium seg2(sim_, "seg2", EthernetMediumParams());
+  Node d(sim_, "d");
+  EthernetDevice* d_eth0 = d.AddEthernet("eth0", &seg_);
+  EthernetDevice* d_eth1 = d.AddEthernet("eth1", &seg2);
+  d_eth0->ForceUp();
+  d_eth1->ForceUp();
+  d.ConfigureInterface(d_eth0, "10.0.0.4/24");
+  d.ConfigureInterface(d_eth1, "10.0.1.4/24");
+  const Ipv4Address ip(10, 0, 0, 50);
+  ArpService& arp = d.stack().arp();
+  arp.AddProxyEntry(d_eth0, ip);
+  arp.AddProxyEntry(d_eth1, ip);
+  arp.RemoveProxyEntry(d_eth1, ip);
+  EXPECT_TRUE(arp.IsProxying(d_eth0, ip));
+  EXPECT_FALSE(arp.IsProxying(d_eth1, ip));
+
+  // The surviving entry still answers on its own segment.
+  std::optional<MacAddress> resolved;
+  a_.stack().arp().Resolve(a_dev_, ip, [&](std::optional<MacAddress> mac) { resolved = mac; });
+  sim_.Run();
+  ASSERT_TRUE(resolved.has_value());
+  EXPECT_EQ(*resolved, d_eth0->mac());
+  EXPECT_EQ(arp.counters().proxy_replies_sent, 1u);
+}
+
 TEST_F(ArpFixture, GratuitousArpUpdatesExistingEntriesOnly) {
   // a has an entry for 10.0.0.2 -> b; c has none.
   a_.stack().arp().AddStaticEntry(Ipv4Address(10, 0, 0, 2), b_dev_->mac());

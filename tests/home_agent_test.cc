@@ -24,10 +24,11 @@ namespace {
 // MobileHost class.
 class HomeAgentFixture : public ::testing::Test {
  protected:
-  HomeAgentFixture() {
+  explicit HomeAgentFixture(uint32_t ha_shards = 1) {
     TestbedConfig cfg;
     cfg.seed = 5;
     cfg.realistic_delays = false;  // Exact, fast control-plane behaviour.
+    cfg.ha_shards = ha_shards;
     tb_ = std::make_unique<Testbed>(cfg);
 
     // A standalone prober on the home subnet.
@@ -350,6 +351,62 @@ TEST_F(HomeAgentFixture, MirroredAndAdoptedBindingsExpire) {
                           {adopted_long, t0 + Seconds(8)}}));
   EXPECT_EQ(ha.binding_count(), 0u);
   EXPECT_EQ(ha.counters().bindings_expired, 3u);
+}
+
+// The testbed's agent with its binding table split across eight shards.
+class ShardedHomeAgentFixture : public HomeAgentFixture {
+ protected:
+  ShardedHomeAgentFixture() : HomeAgentFixture(8) {}
+};
+
+// The snapshot lists bindings and identifications in ascending address
+// order, whatever order the homes registered in and whichever shards hold
+// them (a peer may shard differently).
+TEST_F(ShardedHomeAgentFixture, SnapshotListsHomesInAddressOrder) {
+  constexpr uint32_t kHomes = 16;
+  std::vector<Ipv4Address> registered;
+  for (uint32_t i = 0; i < kHomes; ++i) {
+    const uint32_t host = 1 + (i * 7) % kHomes;  // 1, 8, 15, 6, 13, ...
+    const Ipv4Address home(36, 135, 1, static_cast<uint8_t>(host));
+    registered.push_back(home);
+    SendRequest(MakeRequest(home, Ipv4Address(36, 8, 0, 50), 300, 100 + host));
+  }
+  tb_->RunFor(Seconds(1));
+  // One home goes home again: it keeps its identification but no binding.
+  const Ipv4Address returned(36, 135, 1, 5);
+  SendRequest(MakeRequest(returned, returned, 0, 500));
+  tb_->RunFor(Seconds(1));
+
+  const HomeAgent& ha = *tb_->home_agent;
+  size_t used_shards = 0;
+  for (size_t s = 0; s < ha.shard_count(); ++s) {
+    used_shards += ha.ShardBindingCount(s) > 0 ? 1 : 0;
+  }
+  EXPECT_GE(used_shards, 4u);
+  EXPECT_EQ(ha.ShardConsistencyError(), "");
+
+  const HaBindingState state = ha.SnapshotState();
+  std::vector<Ipv4Address> bound;
+  for (const auto& entry : state.bindings) {
+    bound.push_back(entry.home_address);
+  }
+  EXPECT_TRUE(std::is_sorted(bound.begin(), bound.end()));
+  EXPECT_EQ(std::adjacent_find(bound.begin(), bound.end()), bound.end());
+  EXPECT_EQ(bound.size(), ha.binding_count());
+  std::vector<Ipv4Address> with_id;
+  for (const auto& [home, identification] : state.identifications) {
+    with_id.push_back(home);
+  }
+  EXPECT_TRUE(std::is_sorted(with_id.begin(), with_id.end()));
+  EXPECT_EQ(std::adjacent_find(with_id.begin(), with_id.end()), with_id.end());
+  for (Ipv4Address home : registered) {
+    EXPECT_EQ(std::count(bound.begin(), bound.end(), home), home == returned ? 0 : 1)
+        << home.ToString();
+    const auto it = std::find_if(state.identifications.begin(), state.identifications.end(),
+                                 [&](const auto& id) { return id.first == home; });
+    ASSERT_NE(it, state.identifications.end()) << home.ToString();
+    EXPECT_EQ(it->second, home == returned ? 500u : 100u + (home.value() & 0xff));
+  }
 }
 
 // A standby agent on a bare node: no ARP side effects and no other traffic,
