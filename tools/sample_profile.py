@@ -16,7 +16,8 @@ Samples are resolved per executable mapping: the file offset becomes an
 ELF virtual address (via the PT_LOAD headers) and `addr2line -f -C` names
 the function and source file. The report gives the sample count per DSO,
 the top functions, and the split by source file (`[libc.so.6]` when a DSO
-has no line info). Unlike `-pg`/gprof, this also sees the time spent in
+has no line info). With debug info, a sample in inlined code is named
+after the innermost inlined function, e.g. `std::hash<unsigned int>`. Unlike `-pg`/gprof, this also sees the time spent in
 libc, libstdc++ and the kernel on the process's behalf, and needs no
 rebuild; build the target with `-g` (e.g. RelWithDebInfo) for file names.
 
