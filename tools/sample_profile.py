@@ -1,31 +1,36 @@
 #!/usr/bin/env python3
 """Statistical CPU profile of any command, for hosts without `perf`.
 
-    python3 tools/sample_profile.py [--hz 997] [--top 30] [--keep DIR] -- CMD [ARG...]
-    python3 tools/sample_profile.py --report DIR_OR_FILE [--top 30]
+    python3 tools/sample_profile.py -- CMD [ARG...]
 
 Compiles a small LD_PRELOAD sampler with the system `gcc`, runs CMD under
-it, and prints where the CPU time went. The sampler arms
-`setitimer(ITIMER_PROF)`, so it ticks on the process's CPU time (user and
-system), and each SIGPROF records the program counter it interrupted. At
-exit each process writes its samples and its `/proc/self/maps` to
-`samples.<pid>` in the output directory; children started with fork or
-exec are sampled too, each into its own file.
+it, and prints where the CPU time went. The sampler arms a POSIX timer on
+the process's CPU-time clock (`timer_create(CLOCK_PROCESS_CPUTIME_ID)`,
+user and system time), and each SIGPROF records the program counter it
+interrupted. At exit the process writes its samples and its
+`/proc/self/maps` to `samples.<pid>` in a temporary directory. A program
+that CMD execs with LD_PRELOAD intact loads the sampler again and samples
+itself into its own file. A forked child that does not exec is not
+sampled. `execve` deletes the timer and `fork` does not copy it, so no
+process ever runs an armed timer without the handler (SIGPROF's default
+action kills).
 
 Samples are resolved per executable mapping: the file offset becomes an
 ELF virtual address (via the PT_LOAD headers) and `addr2line -f -C` names
 the function and source file. The report gives the sample count per DSO,
 the top functions, and the split by source file (`[libc.so.6]` when a DSO
 has no line info). With debug info, a sample in inlined code is named
-after the innermost inlined function, e.g. `std::hash<unsigned int>`. Unlike `-pg`/gprof, this also sees the time spent in
-libc, libstdc++ and the kernel on the process's behalf, and needs no
-rebuild; build the target with `-g` (e.g. RelWithDebInfo) for file names.
+after the innermost inlined function, e.g. `std::hash<unsigned int>`.
+Unlike `-pg`/gprof, this also sees the time spent in libc, libstdc++ and
+the kernel on the process's behalf, and needs no rebuild; build the
+target with `-g` (e.g. RelWithDebInfo) for file names.
 
-Caveats. The kernel checks ITIMER_PROF at its own tick, so `--hz` above
-the tick rate (often 250/s) yields the tick rate. In a DSO without a full
-symbol table (a stripped libc), a static function is named after the
-nearest exported symbol before it; its DSO and file counts stay right. A
-process that ends in `_exit`, `exec` or a fatal signal writes nothing. The
+Caveats. The kernel checks CPU-time timers at its own tick, so the
+sampler asks for SAMPLE_HZ samples per CPU second, a common tick rate,
+and gets at most the host's tick rate. In a DSO without a full symbol
+table (a stripped libc), a static function is named after the nearest
+exported symbol before it; its DSO and file counts stay right. A process
+that ends in `_exit`, `exec` or a fatal signal writes nothing. The
 sampler records whichever thread the signal lands on; the simulator is
 single-threaded.
 
@@ -44,14 +49,19 @@ import sys
 import tempfile
 from pathlib import Path
 
+# Samples asked for per CPU second: a common kernel tick rate, which caps
+# what CPU-time timers deliver.
+SAMPLE_HZ = 250
+# Rows in the function and source-file rankings.
+TOP = 30
+
 SAMPLER_C = r"""
 #define _GNU_SOURCE
-#include <pthread.h>
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
-#include <sys/time.h>
+#include <time.h>
 #include <ucontext.h>
 #include <unistd.h>
 
@@ -78,35 +88,41 @@ static void on_prof(int sig, siginfo_t* info, void* raw) {
   }
 }
 
-static void arm(void) {
-  struct itimerval it;
-  memset(&it, 0, sizeof(it));
-  it.it_interval.tv_usec = 1000000 / SAMPLE_HZ;
-  it.it_value = it.it_interval;
-  setitimer(ITIMER_PROF, &it, NULL);
-}
-
-static void restart_in_child(void) {
-  count = 0;
-  dropped = 0;
-  arm();
-}
+static pid_t owner;
+static timer_t timer;
+static int armed;
 
 __attribute__((constructor)) static void start(void) {
+  owner = getpid();
   struct sigaction sa;
   memset(&sa, 0, sizeof(sa));
   sa.sa_sigaction = on_prof;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
   sigemptyset(&sa.sa_mask);
   sigaction(SIGPROF, &sa, NULL);
-  pthread_atfork(NULL, NULL, restart_in_child);
-  arm();
+  struct sigevent ev;
+  memset(&ev, 0, sizeof(ev));
+  ev.sigev_notify = SIGEV_SIGNAL;
+  ev.sigev_signo = SIGPROF;
+  if (timer_create(CLOCK_PROCESS_CPUTIME_ID, &ev, &timer) != 0) {
+    return;
+  }
+  struct itimerspec it;
+  memset(&it, 0, sizeof(it));
+  it.it_interval.tv_nsec = 1000000000L / SAMPLE_HZ;
+  it.it_value = it.it_interval;
+  armed = timer_settime(timer, 0, &it, NULL) == 0;
 }
 
 __attribute__((destructor)) static void finish(void) {
-  struct itimerval off;
-  memset(&off, 0, sizeof(off));
-  setitimer(ITIMER_PROF, &off, NULL);
+  /* A forked child holds a copy of its parent's samples: only the process
+     that loaded the sampler writes them. */
+  if (getpid() != owner) {
+    return;
+  }
+  if (armed) {
+    timer_delete(timer);
+  }
   char path[4096];
   snprintf(path, sizeof(path), "%s/samples.%ld", OUT_DIR, (long)getpid());
   FILE* out = fopen(path, "w");
@@ -255,52 +271,39 @@ def format_report(profile, top):
     return "\n".join(lines) + "\n"
 
 
-def sample_files(path):
-    path = Path(path)
-    files = sorted(path.glob("samples.*")) if path.is_dir() else [path]
-    return [f.read_text(encoding="utf-8", errors="replace") for f in files]
+def sample_files(out_dir):
+    return [f.read_text(encoding="utf-8", errors="replace")
+            for f in sorted(Path(out_dir).glob("samples.*"))]
 
 
-def build_sampler(out_dir, hz):
+def build_sampler(out_dir):
     lib = out_dir / "libmsnsample.so"
     src = out_dir / "sampler.c"
     src.write_text(SAMPLER_C, encoding="utf-8")
-    cmd = ["gcc", "-O2", "-shared", "-fPIC", f"-DSAMPLE_HZ={hz}",
-           f'-DOUT_DIR="{out_dir}"', "-o", str(lib), str(src), "-lpthread"]
+    cmd = ["gcc", "-O2", "-shared", "-fPIC", f"-DSAMPLE_HZ={SAMPLE_HZ}",
+           f'-DOUT_DIR="{out_dir}"', "-o", str(lib), str(src)]
     subprocess.run(cmd, check=True)
     return lib
 
 
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--hz", type=int, default=997, help="samples per CPU second")
-    parser.add_argument("--top", type=int, default=30)
-    parser.add_argument("--keep", help="write the sampler and samples here and keep them")
-    parser.add_argument("--report", help="report a saved samples file or directory")
-    parser.add_argument("command", nargs="*")
+    parser.add_argument("command", nargs="+")
     args = parser.parse_args(argv)
-    if args.report:
-        sys.stdout.write(format_report(aggregate(sample_files(args.report)), args.top))
-        return 0
-    if not args.command or not 1 <= args.hz <= 100000:
-        parser.print_usage(sys.stderr)
-        return 2
-    out_dir = Path(args.keep or tempfile.mkdtemp(prefix="msn-sample-")).resolve()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(tempfile.mkdtemp(prefix="msn-sample-")).resolve()
     try:
         try:
-            lib = build_sampler(out_dir, args.hz)
+            lib = build_sampler(out_dir)
         except (OSError, subprocess.CalledProcessError) as err:
             print(f"sample_profile: cannot build the sampler: {err}", file=sys.stderr)
             return 2
         env = dict(os.environ)
         env["LD_PRELOAD"] = " ".join(filter(None, [str(lib), env.get("LD_PRELOAD")]))
         status = subprocess.run(args.command, env=env, check=False).returncode
-        sys.stdout.write(format_report(aggregate(sample_files(out_dir)), args.top))
+        sys.stdout.write(format_report(aggregate(sample_files(out_dir)), TOP))
         return status
     finally:
-        if not args.keep:
-            shutil.rmtree(out_dir, ignore_errors=True)
+        shutil.rmtree(out_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":
