@@ -9,19 +9,14 @@
 namespace msn {
 namespace {
 
-// The keys of one per-home table in ascending address order: the order a
-// traversal sees when it can reach behaviour or a reported message.
+// Appends the keys of one per-home table in bucket order. Every caller
+// sorts them before their order can reach behaviour or a message.
 template <typename Table>
-std::vector<Ipv4Address> SortedHomes(const Table& table) {
-  std::vector<Ipv4Address> homes;
-  homes.reserve(table.size());
-  // Collected, then sorted: bucket order cannot reach the result.
+void AppendHomes(const Table& table, std::vector<Ipv4Address>& homes) {
   // msn-analyze: allow(determinism/unordered-iteration)
   for (const auto& entry : table) {
     homes.push_back(entry.first);
   }
-  std::sort(homes.begin(), homes.end());
-  return homes;
 }
 
 }  // namespace
@@ -155,9 +150,13 @@ size_t HomeAgent::ShardQueueDepth(size_t shard_index) const {
 }
 
 std::string HomeAgent::ShardConsistencyError() const {
+  std::vector<Ipv4Address> homes;
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = shards_[i];
-    for (Ipv4Address home : SortedHomes(shard.by_home)) {
+    homes.clear();
+    AppendHomes(shard.by_home, homes);
+    std::sort(homes.begin(), homes.end());
+    for (Ipv4Address home : homes) {
       if (ShardIndexOf(home) != i) {
         return home.ToString() + " stored in shard " + std::to_string(i) +
                " but hashes to shard " + std::to_string(ShardIndexOf(home));
@@ -173,7 +172,10 @@ std::string HomeAgent::ShardConsistencyError() const {
              std::to_string(shard.queued_by_home.size()) + " entries for " +
              std::to_string(shard.queue.size()) + " queued requests";
     }
-    for (Ipv4Address home : SortedHomes(shard.queued_by_home)) {
+    homes.clear();
+    AppendHomes(shard.queued_by_home, homes);
+    std::sort(homes.begin(), homes.end());
+    for (Ipv4Address home : homes) {
       const PendingRequest* slot = shard.queued_by_home.at(home);
       if (ShardIndexOf(home) != i) {
         return home.ToString() + " queued in shard " + std::to_string(i) +
@@ -191,11 +193,7 @@ std::vector<Ipv4Address> HomeAgent::SortedBoundHomes() const {
   std::vector<Ipv4Address> homes;
   homes.reserve(binding_count());
   for (const Shard& shard : shards_) {
-    // Collected, then sorted: bucket order cannot reach the result.
-    // msn-analyze: allow(determinism/unordered-iteration)
-    for (const auto& [home, binding] : shard.by_home) {
-      homes.push_back(home);
-    }
+    AppendHomes(shard.by_home, homes);
   }
   std::sort(homes.begin(), homes.end());
   return homes;

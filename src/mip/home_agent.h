@@ -309,7 +309,7 @@ class HomeAgent {
   // elements stable across push_back, which the supersede index relies on.
   // The per-home tables are hashed: the hot paths only look up, insert and
   // erase one home, and every traversal whose order can reach behaviour
-  // goes through sorted keys (SortedBoundHomes, SortedHomes).
+  // goes through sorted keys (SortedBoundHomes, ShardConsistencyError).
   struct Shard {
     // home address -> binding.
     std::unordered_map<Ipv4Address, Binding> by_home;
