@@ -9,13 +9,16 @@
 namespace msn {
 namespace {
 
-// Appends the keys of one per-home table in bucket order. Every caller
-// sorts them before their order can reach behaviour or a message.
-template <typename Table>
-void AppendHomes(const Table& table, std::vector<Ipv4Address>& homes) {
+// Appends the homes of one shard's records that `keep` selects, in bucket
+// order. Every caller sorts them before their order can reach behaviour or
+// a message.
+template <typename Table, typename Keep>
+void AppendHomes(const Table& table, Keep keep, std::vector<Ipv4Address>& homes) {
   // msn-analyze: allow(determinism/unordered-iteration)
-  for (const auto& entry : table) {
-    homes.push_back(entry.first);
+  for (const auto& [home, record] : table) {
+    if (keep(record)) {
+      homes.push_back(home);
+    }
   }
 }
 
@@ -97,21 +100,18 @@ HomeAgent::HomeAgent(Node& node, Config config)
   // forwarded and locally originated packets are captured.
   node_.stack().SetRouteLookupOverride(
       [this](const RouteQuery& query) { return RouteOverride(query); });
+
+  // Proxy ARP (paper §3.1) is answered from the records: a serving agent
+  // proxies every bound home on the home device, and nothing else.
+  node_.stack().arp().SetProxyOwner([this](NetDevice* device, Ipv4Address ip) {
+    return device == config_.home_device && serving() && HasBinding(ip);
+  });
 }
 
 HomeAgent::~HomeAgent() {
   node_.sim().Cancel(expiry_timer_);
   node_.stack().ClearRouteLookupOverride();
-  if (config_.home_device != nullptr) {
-    for (const Shard& shard : shards_) {
-      // Each erase touches only its own proxy entry: bucket order cannot
-      // reach behavior.
-      // msn-analyze: allow(determinism/unordered-iteration)
-      for (const auto& [home, binding] : shard.by_home) {
-        node_.stack().arp().RemoveProxyEntry(config_.home_device, home);
-      }
-    }
-  }
+  node_.stack().arp().ClearProxyOwner();
   metrics_->ReleaseCounters(counters_);
   for (const Shard& shard : shards_) {
     metrics_->ReleaseCounters(shard);
@@ -133,16 +133,68 @@ const HomeAgent::Shard& HomeAgent::ShardOf(Ipv4Address home_address) const {
   return shards_[ShardIndexOf(home_address)];
 }
 
+HomeAgent::HomeRecord* HomeAgent::FindRecord(Ipv4Address home_address) {
+  Shard& shard = ShardOf(home_address);
+  auto it = shard.home_records.find(home_address);
+  return it == shard.home_records.end() ? nullptr : &it->second;
+}
+
+const HomeAgent::Binding* HomeAgent::FindBinding(Ipv4Address home_address) const {
+  const Shard& shard = ShardOf(home_address);
+  auto it = shard.home_records.find(home_address);
+  if (it == shard.home_records.end() || !it->second.binding) {
+    return nullptr;
+  }
+  return &*it->second.binding;
+}
+
+void HomeAgent::StoreBinding(Shard& shard, HomeRecord& record, const Binding& binding) {
+  if (!record.binding) {
+    ++shard.bound;
+  }
+  record.binding = binding;
+  shard.bindings_gauge->Set(static_cast<double>(shard.bound));
+}
+
+void HomeAgent::EraseIfEmpty(Ipv4Address home_address, const HomeRecord& record) {
+  if (record.empty()) {
+    ShardOf(home_address).home_records.erase(home_address);
+  }
+}
+
+void HomeAgent::ClearReplayHistory(bool resync_too) {
+  for (Shard& shard : shards_) {
+    // Each step touches only its own record: bucket order cannot reach
+    // behaviour.
+    // msn-analyze: allow(determinism/unordered-iteration)
+    for (auto it = shard.home_records.begin(); it != shard.home_records.end();) {
+      it->second.last_identification.reset();
+      if (resync_too) {
+        it->second.resync_required = false;
+      }
+      it = it->second.empty() ? shard.home_records.erase(it) : std::next(it);
+    }
+  }
+}
+
 size_t HomeAgent::binding_count() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.by_home.size();
+    total += shard.bound;
   }
   return total;
 }
 
 size_t HomeAgent::ShardBindingCount(size_t shard_index) const {
-  return shards_[shard_index].by_home.size();
+  return shards_[shard_index].bound;
+}
+
+size_t HomeAgent::record_count() const {
+  size_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.home_records.size();
+  }
+  return total;
 }
 
 size_t HomeAgent::ShardQueueDepth(size_t shard_index) const {
@@ -153,36 +205,47 @@ std::string HomeAgent::ShardConsistencyError() const {
   std::vector<Ipv4Address> homes;
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = shards_[i];
+    const std::string where = "shard " + std::to_string(i);
     homes.clear();
-    AppendHomes(shard.by_home, homes);
+    AppendHomes(shard.home_records, [](const HomeRecord&) { return true; }, homes);
     std::sort(homes.begin(), homes.end());
+    size_t bound = 0;
+    size_t queued = 0;
     for (Ipv4Address home : homes) {
       if (ShardIndexOf(home) != i) {
-        return home.ToString() + " stored in shard " + std::to_string(i) +
-               " but hashes to shard " + std::to_string(ShardIndexOf(home));
+        return home.ToString() + " stored in " + where + " but hashes to shard " +
+               std::to_string(ShardIndexOf(home));
       }
-      const Binding& binding = shard.by_home.at(home);
-      if (binding.home_address != home) {
-        return "binding keyed by " + home.ToString() + " names " +
-               binding.home_address.ToString();
+      const HomeRecord& record = shard.home_records.at(home);
+      if (record.empty()) {
+        return "empty record for " + home.ToString() + " in " + where;
+      }
+      if (record.binding) {
+        ++bound;
+        if (record.binding->home_address != home) {
+          return "binding keyed by " + home.ToString() + " names " +
+                 record.binding->home_address.ToString();
+        }
+      }
+      if (record.queued != nullptr) {
+        ++queued;
       }
     }
-    if (shard.queued_by_home.size() != shard.queue.size()) {
-      return "shard " + std::to_string(i) + " queue index holds " +
-             std::to_string(shard.queued_by_home.size()) + " entries for " +
+    if (bound != shard.bound) {
+      return where + " counts " + std::to_string(shard.bound) + " bindings but " +
+             std::to_string(bound) + " records hold one";
+    }
+    if (queued != shard.queue.size()) {
+      return where + " has " + std::to_string(queued) + " records with a queued slot for " +
              std::to_string(shard.queue.size()) + " queued requests";
     }
-    homes.clear();
-    AppendHomes(shard.queued_by_home, homes);
-    std::sort(homes.begin(), homes.end());
-    for (Ipv4Address home : homes) {
-      const PendingRequest* slot = shard.queued_by_home.at(home);
-      if (ShardIndexOf(home) != i) {
-        return home.ToString() + " queued in shard " + std::to_string(i) +
-               " but hashes to shard " + std::to_string(ShardIndexOf(home));
-      }
-      if (slot == nullptr || slot->request.home_address != home) {
-        return "queue index for " + home.ToString() + " points at a stale slot";
+    for (const PendingRequest& slot : shard.queue) {
+      const Ipv4Address home = slot.request.home_address;
+      auto it = shard.home_records.find(home);
+      if (it == shard.home_records.end() || slot.record != &it->second ||
+          it->second.queued != &slot) {
+        return "queued request for " + home.ToString() + " in " + where +
+               " and its record do not point at each other";
       }
     }
   }
@@ -193,7 +256,8 @@ std::vector<Ipv4Address> HomeAgent::SortedBoundHomes() const {
   std::vector<Ipv4Address> homes;
   homes.reserve(binding_count());
   for (const Shard& shard : shards_) {
-    AppendHomes(shard.by_home, homes);
+    AppendHomes(shard.home_records, [](const HomeRecord& r) { return r.binding.has_value(); },
+                homes);
   }
   std::sort(homes.begin(), homes.end());
   return homes;
@@ -206,8 +270,11 @@ void HomeAgent::SetGlobalBindingsGauge() {
 void HomeAgent::FlushShardQueues(uint64_t& drop_counter) {
   for (Shard& shard : shards_) {
     drop_counter += shard.queue.size();
+    for (const PendingRequest& pending : shard.queue) {
+      pending.record->queued = nullptr;
+      EraseIfEmpty(pending.request.home_address, *pending.record);
+    }
     shard.queue.clear();
-    shard.queued_by_home.clear();
     shard.denials_in_window = 0;
     shard.queue_depth_gauge->Set(0.0);
   }
@@ -222,17 +289,15 @@ void HomeAgent::SetAuthKey(Ipv4Address home_address, const MipAuthKey& key) {
 }
 
 bool HomeAgent::HasBinding(Ipv4Address home_address) const {
-  const Shard& shard = ShardOf(home_address);
-  return shard.by_home.find(home_address) != shard.by_home.end();
+  return FindBinding(home_address) != nullptr;
 }
 
 std::optional<HomeAgent::Binding> HomeAgent::GetBinding(Ipv4Address home_address) const {
-  const Shard& shard = ShardOf(home_address);
-  auto it = shard.by_home.find(home_address);
-  if (it == shard.by_home.end()) {
+  const Binding* binding = FindBinding(home_address);
+  if (binding == nullptr) {
     return std::nullopt;
   }
-  return it->second;
+  return *binding;
 }
 
 std::optional<RouteDecision> HomeAgent::RouteOverride(const RouteQuery& query) {
@@ -242,9 +307,7 @@ std::optional<RouteDecision> HomeAgent::RouteOverride(const RouteQuery& query) {
   if (role_ != HaRole::kPrimary) {
     return std::nullopt;
   }
-  const Shard& shard = ShardOf(query.dst);
-  auto it = shard.by_home.find(query.dst);
-  if (it == shard.by_home.end()) {
+  if (!HasBinding(query.dst)) {
     return std::nullopt;
   }
   RouteDecision decision;
@@ -256,9 +319,8 @@ std::optional<RouteDecision> HomeAgent::RouteOverride(const RouteQuery& query) {
 
 // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
 void HomeAgent::EncapsulateAndTunnel(const Ipv4Header& inner, Packet inner_wire) {
-  Shard& shard = ShardOf(inner.dst);
-  auto it = shard.by_home.find(inner.dst);
-  if (it == shard.by_home.end()) {
+  const Binding* binding = FindBinding(inner.dst);
+  if (binding == nullptr) {
     ++counters_.tunnel_drops_no_binding;
     return;
   }
@@ -270,9 +332,9 @@ void HomeAgent::EncapsulateAndTunnel(const Ipv4Header& inner, Packet inner_wire)
   ++tunneled_by_epoch_[epoch_];
   Ipv4Header outer;
   Packet wire =
-      EncapsulateIpIpPacket(outer, std::move(inner_wire), config_.address, it->second.care_of);
+      EncapsulateIpIpPacket(outer, std::move(inner_wire), config_.address, binding->care_of);
   MSN_TRACE("mip-ha", "%s: tunneling %s -> careof %s", node_.name().c_str(),
-            inner.ToString().c_str(), it->second.care_of.ToString().c_str());
+            inner.ToString().c_str(), binding->care_of.ToString().c_str());
   node_.stack().SendPreformedPacket(outer, std::move(wire), /*forwarding=*/false);
 }
 
@@ -325,11 +387,12 @@ void HomeAgent::WipeSoftState() {
   applying_peer_state_ = true;
   // Snapshot the keys first — RemoveBinding mutates the shard tables.
   for (Ipv4Address home : SortedBoundHomes()) {
-    resync_required_.insert(home);
+    HomeRecord& record = *FindRecord(home);
+    record.resync_required = true;
     ++counters_.bindings_wiped;
-    RemoveBinding(home, /*expired=*/false);
+    RemoveBinding(home, record, /*expired=*/false);
   }
-  last_identification_.clear();
+  ClearReplayHistory(/*resync_too=*/false);
   applying_peer_state_ = false;
 }
 
@@ -387,25 +450,29 @@ void HomeAgent::ApplyMutation(const BindingMutation& mutation) {
       binding.registered_at = node_.sim().Now();
       binding.decapsulates_self = mutation.decapsulates_self;
       Shard& shard = ShardOf(mutation.home_address);
-      shard.by_home[mutation.home_address] = binding;
-      shard.bindings_gauge->Set(static_cast<double>(shard.by_home.size()));
+      HomeRecord& record = shard.home_records[mutation.home_address];
+      StoreBinding(shard, record, binding);
       SetGlobalBindingsGauge();
-      last_identification_[mutation.home_address] = mutation.identification;
-      resync_required_.erase(mutation.home_address);
+      record.last_identification = mutation.identification;
+      record.resync_required = false;
       ScheduleExpiry(mutation.home_address, binding.expires);
       if (serving()) {
         InstallServingArpState(mutation.home_address);
       }
       break;
     }
-    case BindingMutation::Kind::kRemove:
-      last_identification_[mutation.home_address] = mutation.identification;
-      RemoveBinding(mutation.home_address, /*expired=*/false);
+    case BindingMutation::Kind::kRemove: {
+      HomeRecord& record = ShardOf(mutation.home_address).home_records[mutation.home_address];
+      record.last_identification = mutation.identification;
+      RemoveBinding(mutation.home_address, record, /*expired=*/false);
       break;
-    case BindingMutation::Kind::kIdentification:
-      last_identification_[mutation.home_address] = mutation.identification;
-      resync_required_.erase(mutation.home_address);
+    }
+    case BindingMutation::Kind::kIdentification: {
+      HomeRecord& record = ShardOf(mutation.home_address).home_records[mutation.home_address];
+      record.last_identification = mutation.identification;
+      record.resync_required = false;
       break;
+    }
   }
   applying_peer_state_ = false;
 }
@@ -417,7 +484,7 @@ HaBindingState HomeAgent::SnapshotState() const {
   // Shard-merged and address-sorted, preserving the documented snapshot
   // order regardless of the shard layout (peers may shard differently).
   for (Ipv4Address home : SortedBoundHomes()) {
-    const auto& binding = ShardOf(home).by_home.at(home);
+    const Binding& binding = *FindBinding(home);
     HaBindingState::Entry entry;
     entry.home_address = home;
     entry.care_of = binding.care_of;
@@ -429,10 +496,17 @@ HaBindingState HomeAgent::SnapshotState() const {
     entry.decapsulates_self = binding.decapsulates_self;
     state.bindings.push_back(entry);
   }
-  // Address-sorted, as documented on HaBindingState; keys are unique, so the
-  // pair order is the address order.
-  // msn-analyze: allow(determinism/unordered-iteration)
-  state.identifications.assign(last_identification_.begin(), last_identification_.end());
+  for (const Shard& shard : shards_) {
+    // Sorted below.
+    // msn-analyze: allow(determinism/unordered-iteration)
+    for (const auto& [home, record] : shard.home_records) {
+      if (record.last_identification) {
+        state.identifications.emplace_back(home, *record.last_identification);
+      }
+    }
+  }
+  // Address-sorted, as documented on HaBindingState; homes are unique, so
+  // the pair order is the address order.
   std::sort(state.identifications.begin(), state.identifications.end());
   return state;
 }
@@ -440,11 +514,13 @@ HaBindingState HomeAgent::SnapshotState() const {
 void HomeAgent::AdoptState(const HaBindingState& state) {
   applying_peer_state_ = true;
   for (Ipv4Address home : SortedBoundHomes()) {
-    RemoveBinding(home, /*expired=*/false);
+    RemoveBinding(home, *FindRecord(home), /*expired=*/false);
   }
-  last_identification_.clear();
+  // The replica's identification history supersedes the from-scratch resync:
+  // a recovering agent that adopted a snapshot needs no one-shot denial.
+  ClearReplayHistory(/*resync_too=*/true);
   for (const auto& [home, identification] : state.identifications) {
-    last_identification_[home] = identification;
+    ShardOf(home).home_records[home].last_identification = identification;
   }
   for (const auto& entry : state.bindings) {
     Binding binding;
@@ -455,17 +531,13 @@ void HomeAgent::AdoptState(const HaBindingState& state) {
     binding.registered_at = node_.sim().Now();
     binding.decapsulates_self = entry.decapsulates_self;
     Shard& shard = ShardOf(entry.home_address);
-    shard.by_home[entry.home_address] = binding;
-    shard.bindings_gauge->Set(static_cast<double>(shard.by_home.size()));
+    StoreBinding(shard, shard.home_records[entry.home_address], binding);
     ScheduleExpiry(entry.home_address, binding.expires);
     if (serving()) {
       InstallServingArpState(entry.home_address);
     }
   }
   SetGlobalBindingsGauge();
-  // The replica's identification history supersedes the from-scratch resync:
-  // a recovering agent that adopted a snapshot needs no one-shot denial.
-  resync_required_.clear();
   applying_peer_state_ = false;
   MSN_INFO("mip-ha", "%s: adopted replica state (%zu bindings, %zu identifications)",
            node_.name().c_str(), state.bindings.size(), state.identifications.size());
@@ -475,7 +547,6 @@ void HomeAgent::InstallServingArpState(Ipv4Address home_address) {
   if (config_.home_device == nullptr) {
     return;
   }
-  node_.stack().arp().AddProxyEntry(config_.home_device, home_address);
   node_.stack().arp().AddStaticEntry(home_address, config_.home_device->mac());
   node_.stack().arp().AnnounceGratuitousArp(config_.home_device, home_address);
 }
@@ -484,7 +555,6 @@ void HomeAgent::RemoveServingArpState(Ipv4Address home_address) {
   if (config_.home_device == nullptr) {
     return;
   }
-  node_.stack().arp().RemoveProxyEntry(config_.home_device, home_address);
   node_.stack().arp().RemoveEntry(home_address);
 }
 
@@ -516,18 +586,21 @@ void HomeAgent::OnRegistrationDatagram(const std::vector<uint8_t>& data,
   // Admission front end (DESIGN.md §17). Everything here is stateless and
   // cheap — no authentication, no identification lookup — so an overloaded
   // agent sheds work at parse cost instead of collapsing under it.
+  // The home's record is found (or created) here, once; the daemon reaches
+  // it through the queued slot.
   const Time arrival = node_.sim().Now();
   Shard& shard = ShardOf(request->home_address);
-  auto queued = shard.queued_by_home.find(request->home_address);
-  if (queued != shard.queued_by_home.end()) {
+  auto [it, created] = shard.home_records.try_emplace(request->home_address);
+  HomeRecord& record = it->second;
+  if (record.queued != nullptr) {
     // Retransmit-aware supersede: a newer copy from the same mobile host
     // replaces its stale queued copy in place, so a slow queue never burns
     // a batch slot answering a request the MH has already given up on.
     ++counters_.admission_superseded;
-    if (request->identification >= queued->second->request.identification) {
-      queued->second->request = *request;
-      queued->second->meta = meta;
-      queued->second->arrival = arrival;
+    if (request->identification >= record.queued->request.identification) {
+      record.queued->request = *request;
+      record.queued->meta = meta;
+      record.queued->arrival = arrival;
     }
     return;
   }
@@ -538,11 +611,17 @@ void HomeAgent::OnRegistrationDatagram(const std::vector<uint8_t>& data,
       // socket work, so each daemon pass grants a bounded denial budget —
       // a flood cannot turn the agent into a full-time denial server.
       ++counters_.admission_dropped;
+      if (created) {
+        shard.home_records.erase(it);  // A shed request leaves no record.
+      }
       return;
     }
     if (depth >= config_.admission_queue_limit) {
       // Explicit shed: an unauthenticated "insufficient resources" reply
       // sent before any per-MH work, telling the MH to back off and retry.
+      if (created) {
+        shard.home_records.erase(it);
+      }
       ++shard.denials_in_window;
       ++counters_.admission_denied;
       RegistrationReply reply;
@@ -555,8 +634,8 @@ void HomeAgent::OnRegistrationDatagram(const std::vector<uint8_t>& data,
       return;
     }
   }
-  shard.queue.push_back(PendingRequest{*request, meta, arrival});
-  shard.queued_by_home[request->home_address] = &shard.queue.back();
+  shard.queue.push_back(PendingRequest{*request, meta, arrival, &record});
+  record.queued = &shard.queue.back();
   shard.queue_depth_gauge->Set(static_cast<double>(shard.queue.size()));
   ScheduleShardBatch(ShardIndexOf(request->home_address));
 }
@@ -604,9 +683,9 @@ void HomeAgent::RunShardBatch(size_t shard_index) {
   ++shard.batches;
   batch_size_histogram_->Record(static_cast<double>(batch));
   for (size_t i = 0; i < batch; ++i) {
-    PendingRequest pending = shard.queue.front();
+    const PendingRequest pending = shard.queue.front();
     shard.queue.pop_front();
-    shard.queued_by_home.erase(pending.request.home_address);
+    pending.record->queued = nullptr;
     ++shard.processed;
     const double processing_ms = (reply_at - pending.arrival).ToMillisF();
     processing_stats_ms_.Add(processing_ms);
@@ -616,7 +695,7 @@ void HomeAgent::RunShardBatch(size_t shard_index) {
     // Installing the binding early keeps the packet-loss window short
     // (paper: the loss interval ends when the HA registers the new care-of
     // address, not when the reply reaches the MH).
-    ProcessRequest(pending.request, pending.meta, reply_at);
+    ProcessRequest(*pending.record, pending.request, pending.meta, reply_at);
   }
   shard.queue_depth_gauge->Set(static_cast<double>(shard.queue.size()));
   if (!shard.queue.empty()) {
@@ -624,7 +703,7 @@ void HomeAgent::RunShardBatch(size_t shard_index) {
   }
 }
 
-void HomeAgent::ProcessRequest(const RegistrationRequest& request,
+void HomeAgent::ProcessRequest(HomeRecord& record, const RegistrationRequest& request,
                                const UdpSocket::Metadata& meta, Time reply_at) {
   MSN_DEBUG("mip-ha", "%s: %s", node_.name().c_str(), request.ToString().c_str());
 
@@ -658,11 +737,12 @@ void HomeAgent::ProcessRequest(const RegistrationRequest& request,
     // equal to the home address would make the HA tunnel home-bound
     // packets back into its own intercept route forever.
     reply.code = MipReplyCode::kDeniedMalformed;
-  } else if (resync_required_.erase(request.home_address) > 0) {
+  } else if (record.resync_required) {
     // First registration after a daemon restart: deny once with a mismatch,
     // re-anchoring the replay window at this request's identification. The
     // MH's resync re-send carries a higher identification and is accepted.
-    last_identification_[request.home_address] = request.identification;
+    record.resync_required = false;
+    record.last_identification = request.identification;
     ++counters_.resync_denials;
     BindingMutation mutation;
     mutation.kind = BindingMutation::Kind::kIdentification;
@@ -671,8 +751,7 @@ void HomeAgent::ProcessRequest(const RegistrationRequest& request,
     EmitMutation(mutation);
     reply.code = MipReplyCode::kDeniedIdentificationMismatch;
   } else {
-    auto last = last_identification_.find(request.home_address);
-    if (last != last_identification_.end() && request.identification <= last->second) {
+    if (record.last_identification && request.identification <= *record.last_identification) {
       reply.code = MipReplyCode::kDeniedIdentificationMismatch;
     } else if ((request.flags & kMipFlagSimultaneous) != 0) {
       reply.code = MipReplyCode::kAcceptedNoSimultaneous;
@@ -681,21 +760,24 @@ void HomeAgent::ProcessRequest(const RegistrationRequest& request,
     }
   }
 
+  // `record` is not touched past this point: RemoveBinding may erase it,
+  // and a denial of a home with nothing else recorded erases it here.
   if (reply.accepted()) {
-    last_identification_[request.home_address] = request.identification;
+    record.last_identification = request.identification;
     if (request.IsDeregistration()) {
       ++counters_.deregistrations;
-      RemoveBinding(request.home_address, /*expired=*/false);
+      RemoveBinding(request.home_address, record, /*expired=*/false);
       reply.lifetime_sec = 0;
     } else {
       const uint16_t granted =
           std::min<uint16_t>(request.lifetime_sec, kMaxLifetimeSec);
       reply.lifetime_sec = granted;
-      InstallBinding(request, granted);
+      InstallBinding(record, request, granted);
     }
     ++counters_.registrations_accepted;
   } else {
     ++counters_.registrations_denied;
+    EraseIfEmpty(request.home_address, record);
   }
 
   if (key != auth_keys_.end()) {
@@ -706,16 +788,12 @@ void HomeAgent::ProcessRequest(const RegistrationRequest& request,
   });
 }
 
-void HomeAgent::InstallBinding(const RegistrationRequest& request,
+void HomeAgent::InstallBinding(HomeRecord& record, const RegistrationRequest& request,
                                uint16_t granted_lifetime_sec) {
   const Ipv4Address home = request.home_address;
   Shard& shard = ShardOf(home);
-  auto it = shard.by_home.find(home);
-  const Ipv4Address old_care_of =
-      it != shard.by_home.end() ? it->second.care_of : Ipv4Address::Any();
-
-  const bool old_was_foreign_agent =
-      it != shard.by_home.end() && !it->second.decapsulates_self;
+  const Ipv4Address old_care_of = record.binding ? record.binding->care_of : Ipv4Address::Any();
+  const bool old_was_foreign_agent = record.binding && !record.binding->decapsulates_self;
 
   Binding binding;
   binding.home_address = home;
@@ -732,8 +810,7 @@ void HomeAgent::InstallBinding(const RegistrationRequest& request,
   MSN_CHECK(config_.home_subnet.Contains(home))
       << home.ToString() << " outside " << config_.home_subnet.ToString();
   MSN_ASSERT(!binding.care_of.IsAny()) << "registration with an empty care-of address";
-  shard.by_home[home] = binding;
-  shard.bindings_gauge->Set(static_cast<double>(shard.by_home.size()));
+  StoreBinding(shard, record, binding);
   SetGlobalBindingsGauge();
 
   // Previous-FA notification: late tunnel packets still headed to the old
@@ -768,25 +845,25 @@ void HomeAgent::InstallBinding(const RegistrationRequest& request,
            home.ToString().c_str(), binding.care_of.ToString().c_str(), granted_lifetime_sec);
 }
 
-void HomeAgent::RemoveBinding(Ipv4Address home_address, bool expired) {
-  Shard& shard = ShardOf(home_address);
-  auto it = shard.by_home.find(home_address);
-  if (it == shard.by_home.end()) {
+void HomeAgent::RemoveBinding(Ipv4Address home_address, HomeRecord& record, bool expired) {
+  if (!record.binding) {
     return;
   }
-  const Ipv4Address old_care_of = it->second.care_of;
-  shard.by_home.erase(it);
-  shard.bindings_gauge->Set(static_cast<double>(shard.by_home.size()));
+  const Ipv4Address old_care_of = record.binding->care_of;
+  BindingMutation mutation;
+  mutation.kind = BindingMutation::Kind::kRemove;
+  mutation.home_address = home_address;
+  mutation.identification = record.last_identification.value_or(0);
+  record.binding.reset();
+  Shard& shard = ShardOf(home_address);
+  --shard.bound;
+  EraseIfEmpty(home_address, record);
+  shard.bindings_gauge->Set(static_cast<double>(shard.bound));
   SetGlobalBindingsGauge();
   RemoveServingArpState(home_address);
   if (expired) {
     ++counters_.bindings_expired;
   }
-  BindingMutation mutation;
-  mutation.kind = BindingMutation::Kind::kRemove;
-  mutation.home_address = home_address;
-  auto last = last_identification_.find(home_address);
-  mutation.identification = last != last_identification_.end() ? last->second : 0;
   EmitMutation(mutation);
   if (observer_) {
     observer_(home_address, old_care_of, Ipv4Address::Any());
@@ -821,12 +898,11 @@ void HomeAgent::OnExpiryTimer() {
   if (!expiry_heap_.empty()) {
     ArmExpiryTimer();
   }
-  const Shard& shard = ShardOf(entry.home);
-  auto it = shard.by_home.find(entry.home);
-  if (it == shard.by_home.end() || it->second.expires > entry.when) {
+  HomeRecord* record = FindRecord(entry.home);
+  if (record == nullptr || !record->binding || record->binding->expires > entry.when) {
     return;  // Removed or refreshed meanwhile.
   }
-  RemoveBinding(entry.home, /*expired=*/true);
+  RemoveBinding(entry.home, *record, /*expired=*/true);
 }
 
 void HomeAgent::SendReply(const RegistrationReply& reply, Ipv4Address dst, uint16_t port) {

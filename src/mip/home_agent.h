@@ -247,11 +247,12 @@ class HomeAgent {
   // Primary and not fail-stopped: the agent that currently owns the bindings.
   bool serving() const { return role_ == HaRole::kPrimary && !crashed_; }
 
-  // Takes over as primary in `epoch`: installs proxy/static ARP and announces
-  // a gratuitous ARP for every held binding so home-subnet traffic moves here.
+  // Takes over as primary in `epoch`: starts proxying every held binding,
+  // installs its static ARP entry and announces a gratuitous ARP for it, so
+  // home-subnet traffic moves here.
   void Promote(uint64_t epoch);
-  // Demotes to standby in `epoch` (>= the current epoch): removes the proxy
-  // state but keeps the mirrored bindings.
+  // Demotes to standby in `epoch` (>= the current epoch): stops proxying and
+  // removes the static ARP entries but keeps the mirrored bindings.
   void StepDown(uint64_t epoch);
 
   // Registers the sink that receives every locally-originated mutation
@@ -279,9 +280,13 @@ class HomeAgent {
   size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] size_t ShardBindingCount(size_t shard_index) const;
   [[nodiscard]] size_t ShardQueueDepth(size_t shard_index) const;
-  // Empty string when every shard invariant holds: each binding lives in the
-  // shard its home address hashes to, and each shard's queue index matches
-  // its queue exactly.
+  // Per-home records held, across shards: one per home with a binding, a
+  // queued request, replay history or a pending resync.
+  [[nodiscard]] size_t record_count() const;
+  // Empty string when every shard invariant holds: each record lives in the
+  // shard its home address hashes to and has a field set, each binding
+  // names its own home, the shard's bound count matches its records holding
+  // a binding, and each queued request and its record point at each other.
   [[nodiscard]] std::string ShardConsistencyError() const;
   const Counters& counters() const { return counters_; }
   const Config& config() const { return config_; }
@@ -296,27 +301,48 @@ class HomeAgent {
   const RunningStats& processing_stats_ms() const { return processing_stats_ms_; }
 
  private:
+  struct HomeRecord;
+
   // One queued registration awaiting its shard's daemon. A retransmit for
   // the same home address overwrites this slot in place (supersede).
   struct PendingRequest {
     RegistrationRequest request;
     UdpSocket::Metadata meta;
     Time arrival;
+    HomeRecord* record;  // The home's record; its `queued` points back here.
   };
 
-  // One logical shard: its slice of the binding table, its request queue,
-  // and its daemon's busy window. std::deque keeps references to queued
-  // elements stable across push_back, which the supersede index relies on.
-  // The per-home tables are hashed: the hot paths only look up, insert and
-  // erase one home, and every traversal whose order can reach behaviour
-  // goes through sorted keys (SortedBoundHomes, ShardConsistencyError).
+  // Everything the agent holds about one home address. A record exists
+  // while any of its fields is set and is erased as soon as none is.
+  struct HomeRecord {
+    std::optional<Binding> binding;
+    // The home's queued request, for retransmit supersede; cleared as the
+    // daemon dequeues it.
+    PendingRequest* queued = nullptr;
+    // Highest identification seen; outlives the binding to reject replays.
+    std::optional<uint64_t> last_identification;
+    // Set by a daemon restart: the home's next registration is denied once
+    // to resynchronize identifications.
+    bool resync_required = false;
+
+    [[nodiscard]] bool empty() const {
+      return !binding && queued == nullptr && !last_identification && !resync_required;
+    }
+  };
+
+  // One logical shard: its slice of the per-home records, its request queue,
+  // and its daemon's busy window. std::deque keeps queued elements in place
+  // across push_back, and unordered_map keeps records in place across
+  // rehashes, so a record and its queued slot point at each other. The
+  // record table is hashed: the hot paths only look up, insert and erase
+  // one home, and every traversal whose order can reach behaviour goes
+  // through sorted keys (SortedBoundHomes, SnapshotState,
+  // ShardConsistencyError).
   struct Shard {
-    // home address -> binding.
-    std::unordered_map<Ipv4Address, Binding> by_home;
+    // home address -> record.
+    std::unordered_map<Ipv4Address, HomeRecord> home_records;
     std::deque<PendingRequest> queue;
-    // home address -> queued slot, for retransmit supersede. Entries are
-    // erased as their slot is dequeued.
-    std::unordered_map<Ipv4Address, PendingRequest*> queued_by_home;
+    size_t bound = 0;  // Records holding a binding.
     Time busy_until = Time::Zero();
     bool batch_scheduled = false;
     // Denials issued since the shard's daemon last ran a batch. The denial
@@ -346,6 +372,16 @@ class HomeAgent {
   [[nodiscard]] size_t ShardIndexOf(Ipv4Address home_address) const;
   Shard& ShardOf(Ipv4Address home_address);
   const Shard& ShardOf(Ipv4Address home_address) const;
+  [[nodiscard]] HomeRecord* FindRecord(Ipv4Address home_address);
+  [[nodiscard]] const Binding* FindBinding(Ipv4Address home_address) const;
+  // Stores `binding` in `record` (a record of `shard`) and updates the
+  // shard's bound count and gauge.
+  static void StoreBinding(Shard& shard, HomeRecord& record, const Binding& binding);
+  // Erases `home_address`'s record if none of its fields is set.
+  void EraseIfEmpty(Ipv4Address home_address, const HomeRecord& record);
+  // Drops every record's replay history (and, with `resync_too`, its resync
+  // flag) and erases the records left empty.
+  void ClearReplayHistory(bool resync_too);
   // All bound home addresses, sorted (shard-merged); preserves the classic
   // single-table iteration order for promote/step-down/wipe/snapshot.
   [[nodiscard]] std::vector<Ipv4Address> SortedBoundHomes() const;
@@ -357,11 +393,15 @@ class HomeAgent {
   void SetGlobalBindingsGauge();
 
   void OnRegistrationDatagram(const std::vector<uint8_t>& data, const UdpSocket::Metadata& meta);
-  void ProcessRequest(const RegistrationRequest& request, const UdpSocket::Metadata& meta,
-                      Time reply_at);
+  // Decides one dequeued request for the home `record` belongs to.
+  void ProcessRequest(HomeRecord& record, const RegistrationRequest& request,
+                      const UdpSocket::Metadata& meta, Time reply_at);
   void SendReply(const RegistrationReply& reply, Ipv4Address dst, uint16_t port);
-  void InstallBinding(const RegistrationRequest& request, uint16_t granted_lifetime_sec);
-  void RemoveBinding(Ipv4Address home_address, bool expired);
+  void InstallBinding(HomeRecord& record, const RegistrationRequest& request,
+                      uint16_t granted_lifetime_sec);
+  // Removes the binding `record` holds, if any. `record` belongs to
+  // `home_address` and may be erased: callers must not touch it afterwards.
+  void RemoveBinding(Ipv4Address home_address, HomeRecord& record, bool expired);
   // Queues an expiry check for `home_address` at `expires` on the HA's
   // expiry heap, at the (time, seq) position a separately scheduled event
   // would have had, and re-arms the expiry timer if it is the new earliest.
@@ -374,7 +414,8 @@ class HomeAgent {
   // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
   void EncapsulateAndTunnel(const Ipv4Header& inner, Packet inner_wire);
   [[nodiscard]] std::optional<RouteDecision> RouteOverride(const RouteQuery& query);
-  // Proxy/static/gratuitous ARP for one home address (serving side effects).
+  // Static and gratuitous ARP for one home address (serving side effects;
+  // proxy ARP is answered from the records through the proxy-owner hook).
   void InstallServingArpState(Ipv4Address home_address);
   void RemoveServingArpState(Ipv4Address home_address);
   // Discards bindings and replay history (daemon restart / crash rejoin) and
@@ -389,13 +430,9 @@ class HomeAgent {
   std::unique_ptr<UdpSocket> socket_;
   VirtualInterface* vif_ = nullptr;  // Owned by the node.
   std::unique_ptr<IpIpTunnelEndpoint> tunnel_;
-  // The binding table, sharded by hash of home address. shards_.size() is
-  // fixed at construction, so Shard pointers/references stay valid.
+  // The per-home records, sharded by hash of home address. shards_.size()
+  // is fixed at construction, so Shard pointers/references stay valid.
   std::vector<Shard> shards_;
-  // Highest identification seen per home address; survives deregistration to
-  // reject replays. One table for all shards, touched only on the (batched)
-  // registration path by point lookups; SnapshotState sorts it by address.
-  std::unordered_map<Ipv4Address, uint64_t> last_identification_;
   std::set<Ipv4Address> authorized_;
   std::map<Ipv4Address, MipAuthKey> auth_keys_;
   BindingObserver observer_;
@@ -417,9 +454,6 @@ class HomeAgent {
   HaRole role_ = HaRole::kPrimary;
   uint64_t epoch_ = 1;
   std::map<uint64_t, uint64_t> tunneled_by_epoch_;
-  // Home addresses whose first post-restart registration must be denied once
-  // to resynchronize identifications.
-  std::set<Ipv4Address> resync_required_;
   RunningStats processing_stats_ms_;
   // One entry per ScheduleExpiry call, min-ordered by (when, seq). Only the
   // top entry has an event in the simulator (expiry_timer_), so each check

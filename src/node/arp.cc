@@ -38,18 +38,6 @@ void ArpService::AddStaticEntry(Ipv4Address ip, MacAddress mac) {
 
 void ArpService::RemoveEntry(Ipv4Address ip) { cache_.erase(ip); }
 
-void ArpService::AddProxyEntry(NetDevice* device, Ipv4Address ip) {
-  proxies_.emplace(device, ip);
-}
-
-void ArpService::RemoveProxyEntry(NetDevice* device, Ipv4Address ip) {
-  proxies_.erase({device, ip});
-}
-
-bool ArpService::IsProxying(NetDevice* device, Ipv4Address ip) const {
-  return proxies_.count({device, ip}) > 0;
-}
-
 void ArpService::Flush() { cache_.clear(); }
 
 void ArpService::TransmitArp(NetDevice* device, const ArpMessage& msg, MacAddress dst) {

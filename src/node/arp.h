@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/net/frame.h"
@@ -32,6 +31,11 @@ class NetDevice;
 class ArpService {
  public:
   using ResolveCallback = std::function<void(std::optional<MacAddress>)>;
+  // Answers whether this host proxies `ip` on `device`: ARP requests asking
+  // for it there are answered with the device's own MAC (the home agent's
+  // interception mechanism). The owner holds the state; the service keeps no
+  // copy of it.
+  using ProxyOwner = std::function<bool(NetDevice* device, Ipv4Address ip)>;
 
   ArpService(Simulator& sim, IpStack& stack);
   // Cancels the service's pending events (the next gratuitous repeat and
@@ -52,12 +56,13 @@ class ArpService {
 
   void AddStaticEntry(Ipv4Address ip, MacAddress mac);
   void RemoveEntry(Ipv4Address ip);
-  // Registers `ip` for proxying: ARP requests asking for `ip` on `device`
-  // are answered with the device's own MAC (the home agent's interception
-  // mechanism).
-  void AddProxyEntry(NetDevice* device, Ipv4Address ip);
-  void RemoveProxyEntry(NetDevice* device, Ipv4Address ip);
-  bool IsProxying(NetDevice* device, Ipv4Address ip) const;
+  // Installs the one proxy owner (a home agent); with none, nothing is
+  // proxied. The owner must clear it before it goes away.
+  void SetProxyOwner(ProxyOwner owner) { proxy_owner_ = std::move(owner); }
+  void ClearProxyOwner() { proxy_owner_ = nullptr; }
+  bool IsProxying(NetDevice* device, Ipv4Address ip) const {
+    return proxy_owner_ && proxy_owner_(device, ip);
+  }
 
   // Broadcasts a gratuitous ARP binding `ip` to the device's MAC. Receivers
   // that already have an entry for `ip` overwrite it (stale-entry voiding).
@@ -97,15 +102,6 @@ class ArpService {
     MacAddress mac;
     Time expires;
   };
-  // A proxied (device, address) pair; the hash mixes both halves, so one
-  // address proxied on two devices is two independent entries.
-  using ProxyKey = std::pair<NetDevice*, Ipv4Address>;
-  struct ProxyKeyHash {
-    size_t operator()(const ProxyKey& key) const noexcept {
-      return std::hash<NetDevice*>()(key.first) * 0x9e3779b97f4a7c15ull ^
-             std::hash<Ipv4Address>()(key.second);
-    }
-  };
   struct PendingResolution {
     NetDevice* device;
     int attempts = 0;
@@ -140,9 +136,7 @@ class ArpService {
   // determinism/unordered-iteration rule flags the loop if one appears.
   std::unordered_map<Ipv4Address, CacheEntry> cache_;
   std::unordered_map<Ipv4Address, PendingResolution> pending_;
-  // Proxy set keyed by (device, ip); a HA typically proxies on one interface,
-  // one entry per bound home address.
-  std::unordered_set<ProxyKey, ProxyKeyHash> proxies_;
+  ProxyOwner proxy_owner_;
   // Gratuitous repeats in fire order: each is queued at the current time with
   // the same fixed spacing and a fresh sequence number, so (when, seq) only
   // grows along the queue. Only the front has a simulator event

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/node/node.h"
@@ -14,6 +16,27 @@
 
 namespace msn {
 namespace {
+
+// A proxy owner backed by a set of (device, address) pairs, standing in for
+// the home agent's bound homes: `arp` proxies exactly the pairs in the set.
+class ProxySet {
+ public:
+  explicit ProxySet(ArpService& arp) : arp_(arp) {
+    arp_.SetProxyOwner([this](NetDevice* device, Ipv4Address ip) {
+      return entries_.count({device, ip}) > 0;
+    });
+  }
+  ~ProxySet() { arp_.ClearProxyOwner(); }
+  ProxySet(const ProxySet&) = delete;
+  ProxySet& operator=(const ProxySet&) = delete;
+
+  void Add(NetDevice* device, Ipv4Address ip) { entries_.emplace(device, ip); }
+  void Remove(NetDevice* device, Ipv4Address ip) { entries_.erase({device, ip}); }
+
+ private:
+  ArpService& arp_;
+  std::set<std::pair<NetDevice*, Ipv4Address>> entries_;
+};
 
 class ArpFixture : public ::testing::Test {
  protected:
@@ -89,7 +112,8 @@ TEST_F(ArpFixture, ConcurrentResolutionsShareOneExchange) {
 
 TEST_F(ArpFixture, ProxyArpAnswersForAbsentHost) {
   // b proxies for 10.0.0.50 (as a home agent proxies for an away MH).
-  b_.stack().arp().AddProxyEntry(b_dev_, Ipv4Address(10, 0, 0, 50));
+  ProxySet proxies(b_.stack().arp());
+  proxies.Add(b_dev_, Ipv4Address(10, 0, 0, 50));
   std::optional<MacAddress> resolved;
   a_.stack().arp().Resolve(a_dev_, Ipv4Address(10, 0, 0, 50),
                            [&](std::optional<MacAddress> mac) { resolved = mac; });
@@ -98,13 +122,31 @@ TEST_F(ArpFixture, ProxyArpAnswersForAbsentHost) {
   EXPECT_EQ(*resolved, b_dev_->mac());
   EXPECT_EQ(b_.stack().arp().counters().proxy_replies_sent, 1u);
 
-  b_.stack().arp().RemoveProxyEntry(b_dev_, Ipv4Address(10, 0, 0, 50));
+  proxies.Remove(b_dev_, Ipv4Address(10, 0, 0, 50));
   EXPECT_FALSE(b_.stack().arp().IsProxying(b_dev_, Ipv4Address(10, 0, 0, 50)));
 }
 
-// Proxy entries are per device: an address proxied on one interface is
-// neither reported nor answered for on another interface of the same node,
-// and removing it from one interface leaves the other's entry alone.
+// With no owner installed (or once it is cleared), nothing is proxied.
+TEST_F(ArpFixture, NoProxyOwnerProxiesNothing) {
+  ArpService& arp = b_.stack().arp();
+  const Ipv4Address ip(10, 0, 0, 50);
+  EXPECT_FALSE(arp.IsProxying(b_dev_, ip));
+  {
+    ProxySet proxies(arp);
+    proxies.Add(b_dev_, ip);
+    EXPECT_TRUE(arp.IsProxying(b_dev_, ip));
+  }
+  EXPECT_FALSE(arp.IsProxying(b_dev_, ip));
+  std::optional<MacAddress> resolved = MacAddress::FromId(77);
+  a_.stack().arp().Resolve(a_dev_, ip, [&](std::optional<MacAddress> mac) { resolved = mac; });
+  sim_.Run();
+  EXPECT_FALSE(resolved.has_value());
+  EXPECT_EQ(arp.counters().proxy_replies_sent, 0u);
+}
+
+// Proxying is per device: an address proxied on one interface is neither
+// reported nor answered for on another interface of the same node, and
+// dropping it on one interface leaves the other alone.
 TEST_F(ArpFixture, ProxyEntryIsNotReportedForAnotherDevice) {
   BroadcastMedium seg2(sim_, "seg2", EthernetMediumParams());
   Node d(sim_, "d");
@@ -115,7 +157,8 @@ TEST_F(ArpFixture, ProxyEntryIsNotReportedForAnotherDevice) {
   d.ConfigureInterface(d_eth0, "10.0.0.4/24");
   d.ConfigureInterface(d_eth1, "10.0.1.4/24");
   const Ipv4Address ip(10, 0, 0, 50);
-  d.stack().arp().AddProxyEntry(d_eth1, ip);
+  ProxySet proxies(d.stack().arp());
+  proxies.Add(d_eth1, ip);
   EXPECT_TRUE(d.stack().arp().IsProxying(d_eth1, ip));
   EXPECT_FALSE(d.stack().arp().IsProxying(d_eth0, ip));
 
@@ -138,9 +181,10 @@ TEST_F(ArpFixture, RemovingAProxyEntryOnOneDeviceKeepsTheOther) {
   d.ConfigureInterface(d_eth1, "10.0.1.4/24");
   const Ipv4Address ip(10, 0, 0, 50);
   ArpService& arp = d.stack().arp();
-  arp.AddProxyEntry(d_eth0, ip);
-  arp.AddProxyEntry(d_eth1, ip);
-  arp.RemoveProxyEntry(d_eth1, ip);
+  ProxySet proxies(arp);
+  proxies.Add(d_eth0, ip);
+  proxies.Add(d_eth1, ip);
+  proxies.Remove(d_eth1, ip);
   EXPECT_TRUE(arp.IsProxying(d_eth0, ip));
   EXPECT_FALSE(arp.IsProxying(d_eth1, ip));
 
@@ -246,8 +290,9 @@ TEST_F(ArpFixture, AnnouncementRepeatsThreeTimes) {
 // However many addresses are mid-series, the service keeps one repeat event.
 TEST_F(ArpFixture, ConcurrentSeriesKeepOneRepeatEvent) {
   ArpService& arp = b_.stack().arp();
+  ProxySet proxies(arp);
   for (uint8_t host = 50; host < 60; ++host) {
-    arp.AddProxyEntry(b_dev_, Ipv4Address(10, 0, 0, host));
+    proxies.Add(b_dev_, Ipv4Address(10, 0, 0, host));
     arp.AnnounceGratuitousArp(b_dev_, Ipv4Address(10, 0, 0, host));
   }
   sim_.RunFor(Milliseconds(100));  // Every first announcement is on the wire.
@@ -264,11 +309,12 @@ TEST_F(ArpFixture, LapsedClaimStopsOnlyItsOwnSeries) {
   ArpService& arp = b_.stack().arp();
   const Ipv4Address dropped(10, 0, 0, 50);
   const Ipv4Address kept(10, 0, 0, 51);
-  arp.AddProxyEntry(b_dev_, dropped);
-  arp.AddProxyEntry(b_dev_, kept);
+  ProxySet proxies(arp);
+  proxies.Add(b_dev_, dropped);
+  proxies.Add(b_dev_, kept);
   arp.AnnounceGratuitousArp(b_dev_, dropped);
   arp.AnnounceGratuitousArp(b_dev_, kept);
-  sim_.Schedule(Milliseconds(500), [&] { arp.RemoveProxyEntry(b_dev_, dropped); });
+  sim_.Schedule(Milliseconds(500), [&] { proxies.Remove(b_dev_, dropped); });
   sim_.Run();
   auto frames_for = [&sent](Ipv4Address ip) {
     return std::count_if(sent.begin(), sent.end(), [ip](const auto& s) { return s.second == ip; });
@@ -281,7 +327,7 @@ TEST_F(ArpFixture, LapsedClaimStopsOnlyItsOwnSeries) {
 struct AnnounceBed {
   AnnounceBed()
       : sim(11), seg(sim, "seg", EthernetMediumParams()), announcer(sim, "ha"),
-        listener(sim, "cn") {
+        listener(sim, "cn"), proxies(announcer.stack().arp()) {
     dev = announcer.AddEthernet("eth0", &seg);
     NetDevice* other = listener.AddEthernet("eth0", &seg);
     dev->ForceUp();
@@ -289,7 +335,7 @@ struct AnnounceBed {
     announcer.ConfigureInterface(dev, "10.0.0.1/24");
     listener.ConfigureInterface(other, "10.0.0.2/24");
     for (uint8_t host = 50; host < 54; ++host) {
-      announcer.stack().arp().AddProxyEntry(dev, Ipv4Address(10, 0, 0, host));
+      proxies.Add(dev, Ipv4Address(10, 0, 0, host));
     }
     dev->SetTap([this](const EthernetFrame& frame, NetDevice::TapDirection dir) {
       auto msg = ArpMessage::Parse(frame.payload.span());
@@ -313,6 +359,7 @@ struct AnnounceBed {
   BroadcastMedium seg;
   Node announcer;
   Node listener;
+  ProxySet proxies;
   EthernetDevice* dev = nullptr;
   std::vector<std::string> log;
 };

@@ -145,6 +145,26 @@ TEST_F(HaAdmissionFixture, DenialBudgetExhaustionDropsSilently) {
   EXPECT_EQ(ReplyFor(Home(3), 1), nullptr);
 }
 
+// A request shed at admission, denied or dropped, leaves nothing behind: the
+// agent holds records only for the two homes it accepted.
+TEST_F(HaAdmissionFixture, ShedRequestsLeaveNoRecord) {
+  Build(/*shards=*/1, /*batch_max=*/1, /*admission_limit=*/1);
+
+  for (uint32_t i = 0; i < 4; ++i) {
+    SendRequest(MakeRequest(Home(i), CareOf(i), 1));
+  }
+  tb_->RunFor(Milliseconds(1));  // Every arrival admitted or shed; two queued.
+  EXPECT_EQ(tb_->home_agent->counters().admission_denied, 1u);
+  EXPECT_EQ(tb_->home_agent->counters().admission_dropped, 1u);
+  EXPECT_EQ(tb_->home_agent->record_count(), 2u);
+  EXPECT_EQ(tb_->home_agent->ShardConsistencyError(), "");
+
+  tb_->RunFor(Seconds(1));
+  EXPECT_EQ(tb_->home_agent->counters().registrations_accepted, 2u);
+  EXPECT_EQ(tb_->home_agent->record_count(), 2u);
+  EXPECT_EQ(tb_->home_agent->ShardConsistencyError(), "");
+}
+
 TEST_F(HaAdmissionFixture, RetransmitSupersedesQueuedCopyInPlace) {
   Build(/*shards=*/1, /*batch_max=*/1, /*admission_limit=*/0);
 

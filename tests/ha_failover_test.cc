@@ -147,6 +147,40 @@ TEST_F(FailoverFixture, ServiceOutageDemotesPrimaryOnHeal) {
   EXPECT_EQ(tb_->mobile->active_home_agent(), Testbed::BackupHaAddress());
 }
 
+// Proxy ARP follows the serving role, not the binding table: the standby
+// holds the mirrored binding but does not proxy it until it takes over; the
+// crashed primary stops proxying at once, and a deregistration ends the
+// new primary's proxying.
+TEST_F(FailoverFixture, ProxyArpFollowsTheServingRole) {
+  Build();
+  tb_->RunFor(Seconds(1));
+  NetDevice* primary_dev = tb_->home_agent->config().home_device;
+  NetDevice* backup_dev = tb_->backup_agent->config().home_device;
+  const ArpService& primary_arp = tb_->home_agent->node().stack().arp();
+  const ArpService& backup_arp = tb_->backup_agent->node().stack().arp();
+  const Ipv4Address home = Testbed::HomeAddress();
+  ASSERT_TRUE(tb_->backup_agent->HasBinding(home));
+  EXPECT_TRUE(primary_arp.IsProxying(primary_dev, home));
+  EXPECT_FALSE(backup_arp.IsProxying(backup_dev, home));
+
+  tb_->home_agent->BeginOutage(HaOutageKind::kFailStop);
+  EXPECT_TRUE(tb_->home_agent->HasBinding(home));  // Kept until rejoin.
+  EXPECT_FALSE(primary_arp.IsProxying(primary_dev, home));
+
+  tb_->RunFor(Seconds(8));
+  ASSERT_TRUE(tb_->backup_agent->serving());
+  EXPECT_TRUE(backup_arp.IsProxying(backup_dev, home));
+  EXPECT_FALSE(backup_arp.IsProxying(tb_->backup_agent->node().FindDevice("lo"), home));
+
+  tb_->MoveMhEthernetTo(tb_->net135.get());
+  bool at_home = false;
+  tb_->mobile->AttachHome([&](bool ok) { at_home = ok; });
+  tb_->RunFor(Seconds(3));
+  ASSERT_TRUE(at_home);
+  EXPECT_FALSE(tb_->backup_agent->HasBinding(home));
+  EXPECT_FALSE(backup_arp.IsProxying(backup_dev, home));
+}
+
 TEST_F(FailoverFixture, DeregistrationReplicates) {
   Build();
   tb_->RunFor(Seconds(1));
