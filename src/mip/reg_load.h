@@ -1,8 +1,9 @@
 // Synthetic registration load: a fleet of lightweight mobile-host stand-ins
 // sharing one node and one UDP socket, used to drive a home agent to
 // fleet scale (bench_ha_scaling) and to overload it on purpose (the
-// fuzzer's overload stanza). Each client is ~40 bytes of state instead of a
-// full Node + MobileHost, so sweeps of 100k+ registrants stay cheap.
+// fuzzer's overload stanza). Each client is one 64-byte cache line of state
+// instead of a full Node + MobileHost, so sweeps of 100k+ registrants stay
+// cheap.
 //
 // Each client sends one registration (home addresses are contiguous from
 // `first_home`), retransmits on MobileHost's schedule (NextRegistrationBackoff),
@@ -95,7 +96,10 @@ class RegistrationLoadGenerator {
   Time last_accept_time() const { return last_accept_time_; }
 
  private:
-  struct Client {
+  // One cache line per client: the table is walked in index order, and a
+  // client that straddles two lines costs the walk a second miss wherever
+  // the allocator happens to place the table.
+  struct alignas(64) Client {
     Ipv4Address home;
     Ipv4Address care_of;
     uint64_t next_identification = 1;
@@ -107,6 +111,7 @@ class RegistrationLoadGenerator {
     bool done = false;
     EventId retransmit_event;
   };
+  static_assert(sizeof(Client) == 64, "a client fills exactly one cache line");
 
   // Schedules client `index`'s first send at its reserved position.
   void ScheduleArrival(size_t index);
