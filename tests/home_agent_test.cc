@@ -9,12 +9,12 @@
 #include <utility>
 #include <vector>
 
-#include "src/mip/calibration.h"
 #include "src/mip/home_agent.h"
 #include "src/mip/reg_load.h"
 #include "src/node/udp.h"
 #include "src/topo/testbed.h"
 #include "src/util/assert.h"
+#include "tests/fleet_bed.h"
 
 namespace msn {
 namespace {
@@ -153,6 +153,49 @@ TEST_F(HomeAgentFixture, RejectsReplayedIdentification) {
   SendRequest(MakeRequest(Testbed::HomeAddress(), Ipv4Address(36, 8, 0, 66), 300, 9));
   tb_->RunFor(Seconds(1));
   EXPECT_EQ(last_reply_->code, MipReplyCode::kDeniedIdentificationMismatch);
+}
+
+// Replay history outlives the binding: after a deregistration the home's
+// record stays, and a request reusing an old identification is still denied.
+TEST_F(HomeAgentFixture, ReplayIsDeniedAfterDeregistration) {
+  SendRequest(MakeRequest(Testbed::HomeAddress(), Ipv4Address(36, 8, 0, 50), 300, 10));
+  tb_->RunFor(Seconds(1));
+  ASSERT_TRUE(last_reply_->accepted());
+  SendRequest(MakeRequest(Testbed::HomeAddress(), Testbed::HomeAddress(), 0, 11));
+  tb_->RunFor(Seconds(1));
+  ASSERT_TRUE(last_reply_->accepted());
+  EXPECT_EQ(tb_->home_agent->binding_count(), 0u);
+  EXPECT_EQ(tb_->home_agent->record_count(), 1u);
+
+  SendRequest(MakeRequest(Testbed::HomeAddress(), Ipv4Address(36, 8, 0, 66), 300, 11));
+  tb_->RunFor(Seconds(1));
+  EXPECT_EQ(last_reply_->code, MipReplyCode::kDeniedIdentificationMismatch);
+  EXPECT_FALSE(tb_->home_agent->HasBinding(Testbed::HomeAddress()));
+
+  SendRequest(MakeRequest(Testbed::HomeAddress(), Ipv4Address(36, 8, 0, 66), 300, 12));
+  tb_->RunFor(Seconds(1));
+  EXPECT_TRUE(last_reply_->accepted());
+  EXPECT_EQ(tb_->home_agent->ShardConsistencyError(), "");
+}
+
+// A denial for a home the agent has never seen leaves no record; a denial
+// for a home with replay history keeps its record.
+TEST_F(HomeAgentFixture, DenialOfUnseenHomeLeavesNoRecord) {
+  auto wrong_agent = MakeRequest(Testbed::HomeAddress(), Ipv4Address(36, 8, 0, 50), 300, 1);
+  wrong_agent.home_agent = Ipv4Address(1, 2, 3, 4);
+  SendRequest(wrong_agent);
+  tb_->RunFor(Seconds(1));
+  ASSERT_EQ(last_reply_->code, MipReplyCode::kDeniedMalformed);
+  EXPECT_EQ(tb_->home_agent->record_count(), 0u);
+
+  SendRequest(MakeRequest(Testbed::HomeAddress(), Ipv4Address(36, 8, 0, 50), 300, 5));
+  tb_->RunFor(Seconds(1));
+  ASSERT_TRUE(last_reply_->accepted());
+  SendRequest(MakeRequest(Testbed::HomeAddress(), Ipv4Address(36, 8, 0, 50), 300, 5));
+  tb_->RunFor(Seconds(1));
+  ASSERT_EQ(last_reply_->code, MipReplyCode::kDeniedIdentificationMismatch);
+  EXPECT_EQ(tb_->home_agent->record_count(), 1u);
+  EXPECT_EQ(tb_->home_agent->ShardConsistencyError(), "");
 }
 
 TEST_F(HomeAgentFixture, SimultaneousBindingFlagDowngraded) {
@@ -560,65 +603,24 @@ TEST_F(HomeAgentFixture, LoadGeneratorDestroyedMidRunCancelsPendingArrival) {
 // per repeat, about rate x 0.8 s of them would be pending at once.
 TEST(HomeAgentFleetTest, EventHeapStaysTheSizeOfTheLiveWork) {
   constexpr uint32_t kClients = 20000;
-  constexpr uint32_t kShards = 16;
-  constexpr uint32_t kBatchMax = 32;
-  const Calibration cal = Calibration::Default();
-  const double batch_ms =
-      cal.ha_batch_fixed.mean.ToMillisF() + cal.ha_batch_item.mean.ToMillisF() * kBatchMax;
-  const double rate_per_s = 0.75 * kShards * kBatchMax / batch_ms * 1000.0;
-
-  Simulator sim(1);
-  BroadcastMedium net135(sim, "net135", EthernetMediumParams());
-  BroadcastMedium net8(sim, "net8", EthernetMediumParams());
-  Node router(sim, "router");
-  router.stack().set_forwarding_enabled(true);
-  EthernetDevice* r135 = router.AddEthernet("eth135", &net135);
-  EthernetDevice* r8 = router.AddEthernet("eth8", &net8);
-  for (EthernetDevice* dev : {r135, r8}) {
-    dev->set_bandwidth_bps(1'000'000'000);
-    dev->ForceUp();
-  }
-  router.ConfigureInterface(r135, "36.135.0.1/16");
-  router.ConfigureInterface(r8, "36.8.0.1/16");
-  HomeAgent::Config ha_config;
-  ha_config.address = Ipv4Address(36, 135, 0, 1);
-  ha_config.home_device = r135;
-  ha_config.home_subnet = Subnet::MustParse("36.0.0.0/8");
-  ha_config.num_shards = kShards;
-  ha_config.batch_max = kBatchMax;
-  ha_config.admission_queue_limit = 64;
-  HomeAgent ha(router, ha_config);
-
-  Node fleet_node(sim, "fleet");
-  EthernetDevice* eth = fleet_node.AddEthernet("eth0", &net8);
-  eth->set_bandwidth_bps(1'000'000'000);
-  eth->ForceUp();
-  fleet_node.ConfigureInterface(eth, "36.8.0.2/16");
-  fleet_node.AddDefaultRoute(Ipv4Address(36, 8, 0, 1), eth);
-  RegistrationLoadGenerator::Config lc;
-  lc.home_agent = Ipv4Address(36, 135, 0, 1);
-  lc.first_home = Ipv4Address(36, 100, 0, 0);
-  lc.count = kClients;
-  lc.first_care_of = Ipv4Address(36, 8, 16, 1);
-  lc.start_delay = Seconds(1);
-  lc.interarrival = Duration::FromNanos(static_cast<int64_t>(1e9 / rate_per_s));
-  RegistrationLoadGenerator load(fleet_node, lc);
-  load.Start();
+  FleetBed bed(kClients);
+  bed.load.Start();
 
   // A tenth of the repeats that one event per repeat would keep pending.
-  const size_t bound = static_cast<size_t>(rate_per_s * 0.8 / 10);
+  const size_t bound = static_cast<size_t>(FleetBed::RatePerSec() * 0.8 / 10);
   size_t peak = 0;
-  const Time horizon = sim.Now() + Seconds(10);
-  while (load.completed() < kClients && sim.Now() < horizon) {
-    sim.RunFor(Milliseconds(100));
-    peak = std::max(peak, sim.pending_events());
-    ASSERT_LE(sim.heap_items(), 2 * sim.pending_events() + 1) << "at " << sim.Now().ToString();
+  const Time horizon = bed.sim.Now() + Seconds(10);
+  while (bed.load.completed() < kClients && bed.sim.Now() < horizon) {
+    bed.sim.RunFor(Milliseconds(100));
+    peak = std::max(peak, bed.sim.pending_events());
+    ASSERT_LE(bed.sim.heap_items(), 2 * bed.sim.pending_events() + 1)
+        << "at " << bed.sim.Now().ToString();
   }
-  EXPECT_EQ(load.stats().accepted, kClients);
-  EXPECT_EQ(ha.binding_count(), kClients);
+  EXPECT_EQ(bed.load.stats().accepted, kClients);
+  EXPECT_EQ(bed.ha.binding_count(), kClients);
   EXPECT_LT(peak, bound) << "peak pending events " << peak;
-  sim.RunFor(Seconds(1));  // Every series completes.
-  EXPECT_EQ(router.stack().arp().counters().gratuitous_sent,
+  bed.sim.RunFor(Seconds(1));  // Every series completes.
+  EXPECT_EQ(bed.router.stack().arp().counters().gratuitous_sent,
             uint64_t{ArpService::kGratuitousRepeats} * kClients);
 }
 
