@@ -1,6 +1,7 @@
 #include "src/mip/home_agent.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/util/assert.h"
