@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Self-test for tools/compare_bench_json.py's exact gate on the exported
-"metrics" section: a missing name, a changed value and a changed type each
-fail and are named; an identical section passes. Registered in ctest as
+"""Self-test for tools/compare_bench_json.py's exact gates. On the exported
+"metrics" section, a missing name, a changed value and a changed type each
+fail and are named; an identical section passes. On rows, a float value
+that drifts fails when the baseline has no summaries (a bench with no
+wall-clock value) and is skipped when it has them. Registered in ctest as
 `compare_bench_json_test`."""
 
 import contextlib
@@ -23,7 +25,7 @@ HISTOGRAM = {"name": "mh.handoff_ms", "type": "histogram", "count": 4, "sum": 30
              "p99": 7.768}
 
 
-def bench_doc(metrics):
+def bench_doc(metrics, rows=None, summaries=None):
     return {
         "schema": "msn-bench-v1",
         "bench": "selftest",
@@ -31,8 +33,8 @@ def bench_doc(metrics):
         "seed": 1,
         "smoke": True,
         "params": {},
-        "summaries": [],
-        "rows": [{"label": "clean", "values": {"lost": 0}}],
+        "summaries": summaries or [],
+        "rows": rows or [{"label": "clean", "values": {"lost": 0}}],
         "metrics": metrics,
         "series": [],
     }
@@ -110,6 +112,60 @@ class CompareMetricsTest(unittest.TestCase):
         self.assertIn("'ha.bindings'", err)
         self.assertIn("'ha.requests_received'", err)
         self.assertIn("2 regression(s)", err)
+
+
+RTT_ROW = {"label": "tunnel-home", "values": {"rtt_ms_mean": 10.5796305, "echoes": 20}}
+WALL_SUMMARY = {"name": "wall_ms", "unit": "ms", "n": 3, "mean": 12.0, "stddev": 0.5,
+                "min": 11.5, "max": 12.5}
+
+
+class CompareRowsTest(unittest.TestCase):
+    def setUp(self):
+        self._tmp = tempfile.TemporaryDirectory(prefix="compare_bench_json_test_")
+        self.addCleanup(self._tmp.cleanup)
+        self.dir = Path(self._tmp.name)
+
+    def compare(self, base_rows, cand_rows, summaries=None):
+        """Runs the CLI on two documents that differ only in their rows."""
+        base = self.dir / "base.json"
+        cand = self.dir / "cand.json"
+        base.write_text(json.dumps(bench_doc(BASE_METRICS, base_rows, summaries)))
+        cand.write_text(json.dumps(bench_doc(BASE_METRICS, cand_rows, summaries)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            status = cbj.main(["compare_bench_json.py", str(base), str(cand)])
+        return status, err.getvalue()
+
+    def drifted(self):
+        row = copy.deepcopy(RTT_ROW)
+        row["values"]["rtt_ms_mean"] = 10.5796306
+        return [row]
+
+    def test_identical_float_rows_pass_without_summaries(self):
+        self.assertEqual(self.compare([RTT_ROW], [copy.deepcopy(RTT_ROW)]), (0, ""))
+
+    def test_float_drift_fails_without_summaries(self):
+        status, err = self.compare([RTT_ROW], self.drifted())
+        self.assertEqual(status, 1)
+        self.assertIn("row 'tunnel-home' value 'rtt_ms_mean' changed: "
+                      "10.5796305 -> 10.5796306", err)
+
+    def test_missing_float_fails_without_summaries(self):
+        row = copy.deepcopy(RTT_ROW)
+        del row["values"]["rtt_ms_mean"]
+        status, err = self.compare([RTT_ROW], [row])
+        self.assertEqual(status, 1)
+        self.assertIn("row 'tunnel-home' value 'rtt_ms_mean' missing from candidate", err)
+
+    def test_float_drift_is_skipped_with_summaries(self):
+        self.assertEqual(self.compare([RTT_ROW], self.drifted(), [WALL_SUMMARY]), (0, ""))
+
+    def test_integer_drift_fails_with_summaries(self):
+        row = copy.deepcopy(RTT_ROW)
+        row["values"]["echoes"] = 19
+        status, err = self.compare([RTT_ROW], [row], [WALL_SUMMARY])
+        self.assertEqual(status, 1)
+        self.assertIn("row 'tunnel-home' value 'echoes' changed: 20 -> 19", err)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,10 @@ Three kinds of checks, keyed off how msn-bench-v1 serializes values:
     hops_forwarded, delivered, events_executed, packet_copies — must match
     exactly. Simulation results for a fixed seed are not allowed to drift.
     Float row values are timing-derived (wall_ms, pps) and are skipped at
-    row granularity.
+    row granularity — unless the baseline has no summaries. A bench that
+    reports no wall-clock value reports only simulated results, so then
+    every row value, floats included (simulated RTTs, kbps), must match
+    exactly.
 
   * Performance: every baseline summary must exist in the candidate, and
     its mean may not regress by more than --tolerance (default 10%). The
@@ -72,7 +75,9 @@ def is_int(value):
 
 
 def compare_rows(base, cand):
-    """Yields error strings for deterministic (integer) row mismatches."""
+    """Yields error strings for deterministic row mismatches: integer values,
+    or every value when the baseline has no wall-clock summaries."""
+    exact = not base.get("summaries")
     cand_rows = {}
     for row in cand.get("rows", []):
         cand_rows[row["label"]] = row.get("values", {})
@@ -83,14 +88,14 @@ def compare_rows(base, cand):
             continue
         cand_values = cand_rows[label]
         for key, value in row.get("values", {}).items():
-            if not is_int(value) or is_timing_key(key):
+            if not exact and (not is_int(value) or is_timing_key(key)):
                 continue  # Timing-derived; gated via summaries instead.
             if key not in cand_values:
                 yield f"row '{label}' value '{key}' missing from candidate"
             elif cand_values[key] != value:
                 yield (f"row '{label}' value '{key}' changed: "
                        f"{value} -> {cand_values[key]} "
-                       "(deterministic counts must match exactly)")
+                       "(simulated results must match exactly)")
 
 
 def compare_metrics(base, cand):
