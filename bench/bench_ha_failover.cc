@@ -70,7 +70,7 @@ void RunCell(Cell& cell, uint64_t seed, BenchReport* report) {
   MSN_CHECK(source.Bind(6000));
   PeriodicTask probes(tb.sim, kProbeInterval, [&] {
     ++sent;
-    source.SendTo(Testbed::HomeAddress(), 6001, {0xbe, 0xef});
+    source.SendTo(Testbed::HomeAddress(), 6001, std::vector<uint8_t>{0xbe, 0xef});
   });
   probes.Start();
 

@@ -104,7 +104,7 @@ void RunCell(Cell& cell, uint64_t seed, BenchReport* report) {
   MSN_CHECK(source.Bind(6000));
   PeriodicTask probes(tb.sim, kProbeInterval, [&] {
     ++sent;
-    source.SendTo(Testbed::HomeAddress(), 6001, {0xca, 0xfe});
+    source.SendTo(Testbed::HomeAddress(), 6001, std::vector<uint8_t>{0xca, 0xfe});
   });
   probes.Start();
 

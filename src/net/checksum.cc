@@ -1,5 +1,6 @@
 #include "src/net/checksum.h"
 
+#include <array>
 #include <bit>
 #include <cstring>
 
@@ -86,6 +87,23 @@ uint16_t ComputeInternetChecksum(const uint8_t* data, size_t len) {
 
 uint16_t ComputeInternetChecksum(const std::vector<uint8_t>& data) {
   return ComputeInternetChecksum(data.data(), data.size());
+}
+
+uint16_t ComputeIpv4HeaderChecksum(const uint8_t* header) {
+  // The third word holds TTL, protocol and the checksum; the mask keeps the
+  // first two bytes in memory order, so it holds in either byte order.
+  constexpr uint32_t kMaskChecksum =
+      std::bit_cast<uint32_t>(std::array<uint8_t, 4>{0xff, 0xff, 0x00, 0x00});
+  uint32_t w[5];
+  std::memcpy(w, header, sizeof(w));
+  const uint64_t acc =
+      uint64_t{w[0]} + w[1] + (w[2] & kMaskChecksum) + w[3] + w[4];
+  // As in InternetChecksum::Add: the folded native sum is the byte-swapped
+  // big-endian word sum.
+  const uint16_t folded = FoldTo16(acc);
+  const uint16_t sum =
+      std::endian::native == std::endian::little ? ByteSwap16(folded) : folded;
+  return static_cast<uint16_t>(~sum & 0xffff);
 }
 
 bool VerifyInternetChecksum(const uint8_t* data, size_t len) {

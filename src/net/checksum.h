@@ -33,6 +33,12 @@ class InternetChecksum {
 [[nodiscard]] uint16_t ComputeInternetChecksum(const uint8_t* data, size_t len);
 [[nodiscard]] uint16_t ComputeInternetChecksum(const std::vector<uint8_t>& data);
 
+// The header checksum of the 20-byte option-free IPv4 header at `header`,
+// whatever its checksum field (bytes 10-11) holds: one fixed-width sum of
+// five words with that half-word masked out. Equal to
+// ComputeInternetChecksum over the header with the field zeroed.
+[[nodiscard]] uint16_t ComputeIpv4HeaderChecksum(const uint8_t* header);
+
 // Verifies a buffer whose checksum field is included: the folded sum over the
 // whole buffer must be zero.
 [[nodiscard]] bool VerifyInternetChecksum(const uint8_t* data, size_t len);

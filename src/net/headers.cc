@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 
 #include "src/net/checksum.h"
 #include "src/util/assert.h"
@@ -12,6 +13,21 @@ namespace msn {
 // Largest payload that still fits a 16-bit total_length / length field.
 inline constexpr size_t kMaxIpv4Payload = 0xffff - Ipv4Header::kSize;
 inline constexpr size_t kMaxUdpPayload = 0xffff - UdpDatagram::kHeaderSize;
+
+namespace {
+
+// Big-endian stores for the in-place builders.
+void StoreU16(uint8_t* out, uint16_t v) {
+  out[0] = static_cast<uint8_t>(v >> 8);
+  out[1] = static_cast<uint8_t>(v);
+}
+
+void StoreU32(uint8_t* out, uint32_t v) {
+  StoreU16(out, static_cast<uint16_t>(v >> 16));
+  StoreU16(out + 2, static_cast<uint16_t>(v));
+}
+
+}  // namespace
 
 const char* IpProtoName(IpProto proto) {
   switch (proto) {
@@ -30,10 +46,8 @@ const char* IpProtoName(IpProto proto) {
 void Ipv4Header::SerializeTo(uint8_t* out) const {
   out[0] = 0x45;  // Version 4, IHL 5 (20 bytes, no options).
   out[1] = tos;
-  out[2] = static_cast<uint8_t>(total_length >> 8);
-  out[3] = static_cast<uint8_t>(total_length);
-  out[4] = static_cast<uint8_t>(identification >> 8);
-  out[5] = static_cast<uint8_t>(identification);
+  StoreU16(out + 2, total_length);
+  StoreU16(out + 4, identification);
   uint16_t flags_frag = fragment_offset & 0x1fff;
   if (dont_fragment) {
     flags_frag |= 0x4000;
@@ -41,48 +55,19 @@ void Ipv4Header::SerializeTo(uint8_t* out) const {
   if (more_fragments) {
     flags_frag |= 0x2000;
   }
-  out[6] = static_cast<uint8_t>(flags_frag >> 8);
-  out[7] = static_cast<uint8_t>(flags_frag);
+  StoreU16(out + 6, flags_frag);
   out[8] = ttl;
   out[9] = static_cast<uint8_t>(protocol);
-  out[10] = 0;  // Checksum placeholder.
-  out[11] = 0;
-  const uint32_t s = src.value();
-  const uint32_t d = dst.value();
-  out[12] = static_cast<uint8_t>(s >> 24);
-  out[13] = static_cast<uint8_t>(s >> 16);
-  out[14] = static_cast<uint8_t>(s >> 8);
-  out[15] = static_cast<uint8_t>(s);
-  out[16] = static_cast<uint8_t>(d >> 24);
-  out[17] = static_cast<uint8_t>(d >> 16);
-  out[18] = static_cast<uint8_t>(d >> 8);
-  out[19] = static_cast<uint8_t>(d);
-  const uint16_t checksum = ComputeInternetChecksum(out, kSize);
-  out[10] = static_cast<uint8_t>(checksum >> 8);
-  out[11] = static_cast<uint8_t>(checksum);
+  StoreU32(out + 12, src.value());
+  StoreU32(out + 16, dst.value());
+  // The sum masks the checksum field, so it needs no placeholder.
+  StoreU16(out + 10, ComputeIpv4HeaderChecksum(out));
 }
 
 void Ipv4Header::Serialize(ByteWriter& w) const {
-  const size_t start = w.size();
-  w.WriteU8(0x45);  // Version 4, IHL 5 (20 bytes, no options).
-  w.WriteU8(tos);
-  w.WriteU16(total_length);
-  w.WriteU16(identification);
-  uint16_t flags_frag = fragment_offset & 0x1fff;
-  if (dont_fragment) {
-    flags_frag |= 0x4000;
-  }
-  if (more_fragments) {
-    flags_frag |= 0x2000;
-  }
-  w.WriteU16(flags_frag);
-  w.WriteU8(ttl);
-  w.WriteU8(static_cast<uint8_t>(protocol));
-  w.WriteU16(0);  // Checksum placeholder.
-  w.WriteU32(src.value());
-  w.WriteU32(dst.value());
-  const uint16_t checksum = ComputeInternetChecksum(w.data().data() + start, kSize);
-  w.PatchU16(start + 10, checksum);
+  uint8_t bytes[kSize];
+  SerializeTo(bytes);
+  w.WriteBytes(bytes, kSize);
 }
 
 std::optional<Ipv4Header> Ipv4Header::Parse(ByteReader& r) {
@@ -112,10 +97,7 @@ std::optional<Ipv4Header> Ipv4Header::Parse(ByteReader& r) {
   // compare it with the wire field. Folding all 20 bytes to zero instead
   // would also accept 0xffff on the wire where the recomputed value is
   // 0x0000, which a sender never writes (DESIGN.md §12, "Checksums").
-  InternetChecksum cs;
-  cs.Add(b, 10);
-  cs.Add(b + 12, kSize - 12);
-  if (cs.Fold() != u16(10)) {
+  if (ComputeIpv4HeaderChecksum(b) != u16(10)) {
     return std::nullopt;
   }
   return h;
@@ -186,26 +168,33 @@ void AddUdpPseudoHeader(InternetChecksum& cs, Ipv4Address src_ip, Ipv4Address ds
 
 }  // namespace
 
-std::vector<uint8_t> UdpDatagram::Serialize(Ipv4Address src_ip, Ipv4Address dst_ip) const {
+void UdpDatagram::SerializeTo(uint8_t* out, uint16_t src_port, uint16_t dst_port,
+                              std::span<const uint8_t> payload, Ipv4Address src_ip,
+                              Ipv4Address dst_ip) {
   MSN_CHECK(payload.size() <= kMaxUdpPayload)
       << "UDP payload of " << payload.size() << " bytes would truncate the length field";
   const uint16_t length = static_cast<uint16_t>(kHeaderSize + payload.size());
-  ByteWriter w(length);
-  w.WriteU16(src_port);
-  w.WriteU16(dst_port);
-  w.WriteU16(length);
-  w.WriteU16(0);  // Checksum placeholder.
-  w.WriteBytes(payload);
-
+  StoreU16(out, src_port);
+  StoreU16(out + 2, dst_port);
+  StoreU16(out + 4, length);
+  StoreU16(out + 6, 0);  // Checksum placeholder.
+  if (!payload.empty()) {
+    std::memcpy(out + kHeaderSize, payload.data(), payload.size());
+  }
   InternetChecksum cs;
   AddUdpPseudoHeader(cs, src_ip, dst_ip, length);
-  cs.Add(w.data());
+  cs.Add(out, length);
   uint16_t checksum = cs.Fold();
   if (checksum == 0) {
     checksum = 0xffff;  // RFC 768: transmitted zero means "no checksum".
   }
-  w.PatchU16(6, checksum);
-  return w.Take();
+  StoreU16(out + 6, checksum);
+}
+
+std::vector<uint8_t> UdpDatagram::Serialize(Ipv4Address src_ip, Ipv4Address dst_ip) const {
+  std::vector<uint8_t> out(kHeaderSize + payload.size());
+  SerializeTo(out.data(), src_port, dst_port, payload, src_ip, dst_ip);
+  return out;
 }
 
 std::optional<UdpDatagram> UdpDatagram::Parse(std::span<const uint8_t> bytes,
@@ -267,18 +256,22 @@ std::optional<IcmpMessage> IcmpMessage::Parse(std::span<const uint8_t> bytes) {
   return msg;
 }
 
+void ArpMessage::SerializeTo(uint8_t* out) const {
+  StoreU16(out, 1);           // Hardware type: Ethernet.
+  StoreU16(out + 2, 0x0800);  // Protocol type: IPv4.
+  out[4] = 6;                 // Hardware address length.
+  out[5] = 4;                 // Protocol address length.
+  StoreU16(out + 6, static_cast<uint16_t>(op));
+  std::memcpy(out + 8, sender_mac.bytes().data(), 6);
+  StoreU32(out + 14, sender_ip.value());
+  std::memcpy(out + 18, target_mac.bytes().data(), 6);
+  StoreU32(out + 24, target_ip.value());
+}
+
 std::vector<uint8_t> ArpMessage::Serialize() const {
-  ByteWriter w(kSize);
-  w.WriteU16(1);       // Hardware type: Ethernet.
-  w.WriteU16(0x0800);  // Protocol type: IPv4.
-  w.WriteU8(6);        // Hardware address length.
-  w.WriteU8(4);        // Protocol address length.
-  w.WriteU16(static_cast<uint16_t>(op));
-  w.WriteBytes(sender_mac.bytes().data(), 6);
-  w.WriteU32(sender_ip.value());
-  w.WriteBytes(target_mac.bytes().data(), 6);
-  w.WriteU32(target_ip.value());
-  return w.Take();
+  std::vector<uint8_t> out(kSize);
+  SerializeTo(out.data());
+  return out;
 }
 
 std::optional<ArpMessage> ArpMessage::Parse(std::span<const uint8_t> bytes) {

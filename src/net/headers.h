@@ -88,7 +88,14 @@ struct UdpDatagram {
   uint16_t dst_port = 0;
   std::vector<uint8_t> payload;
 
-  // Serializes with the pseudo-header checksum for the given address pair.
+  // Writes the header, `payload` and the pseudo-header checksum for the
+  // given address pair into `out` (>= kHeaderSize + payload.size() bytes).
+  // A computed checksum of 0 goes out as 0xffff (RFC 768). The one UDP
+  // builder: the send path writes straight into the datagram's Packet.
+  static void SerializeTo(uint8_t* out, uint16_t src_port, uint16_t dst_port,
+                          std::span<const uint8_t> payload, Ipv4Address src_ip,
+                          Ipv4Address dst_ip);
+  // SerializeTo into a fresh vector.
   [[nodiscard]] std::vector<uint8_t> Serialize(Ipv4Address src_ip, Ipv4Address dst_ip) const;
   // Parses and verifies the checksum against the given address pair.
   [[nodiscard]] static std::optional<UdpDatagram> Parse(std::span<const uint8_t> bytes,
@@ -153,6 +160,9 @@ struct ArpMessage {
   MacAddress target_mac;  // Zero in requests.
   Ipv4Address target_ip;
 
+  // Writes the kSize-byte message into `out`.
+  void SerializeTo(uint8_t* out) const;
+  // SerializeTo into a fresh vector.
   [[nodiscard]] std::vector<uint8_t> Serialize() const;
   [[nodiscard]] static std::optional<ArpMessage> Parse(std::span<const uint8_t> bytes);
 

@@ -45,7 +45,10 @@ void ArpService::TransmitArp(NetDevice* device, const ArpMessage& msg, MacAddres
   frame.dst = dst;
   frame.src = device->mac();
   frame.ethertype = EtherType::kArp;
-  frame.payload = msg.Serialize();
+  // Built straight into an arena packet; an ARP frame is never encapsulated,
+  // so it reserves no headroom.
+  frame.payload = Packet::Allocate(ArpMessage::kSize, 0);
+  msg.SerializeTo(frame.payload.MutableData());
   device->Transmit(std::move(frame));
 }
 

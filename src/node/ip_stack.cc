@@ -230,22 +230,46 @@ Time IpStack::PipelineDelay(Time& busy_until, Duration mean, Duration jitter) {
 
 // --- Send path -----------------------------------------------------------------
 
-void IpStack::SendDatagram(Ipv4Address src, Ipv4Address dst, IpProto proto,
-                           std::vector<uint8_t> payload, SendOptions opts) {
+Ipv4Header IpStack::NewHeader(Ipv4Address src, Ipv4Address dst, IpProto proto, uint8_t ttl) {
   Ipv4Header header;
   header.src = src;
   header.dst = dst;
   header.protocol = proto;
-  header.ttl = opts.ttl;
+  header.ttl = ttl;
   header.identification = next_ip_id_++;
-  // The wire image is built exactly once here; every later stage (routing,
-  // queueing, transmission, forwarding at each hop) shares or patches it.
-  Packet wire = BuildIpv4Packet(header, payload);
+  return header;
+}
+
+// msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+void IpStack::StartSend(const Ipv4Header& header, Packet wire, SendOptions opts) {
   ++counters_.datagrams_sent;
   const Time fire = PipelineDelay(send_pipe_busy_, delays_.send_mean, delays_.send_jitter);
   sim_.ScheduleAt(fire, [this, header, wire = std::move(wire), opts]() mutable {
     DoSend(header, std::move(wire), /*forwarding=*/false, opts);
   });
+}
+
+void IpStack::SendDatagram(Ipv4Address src, Ipv4Address dst, IpProto proto,
+                           std::vector<uint8_t> payload, SendOptions opts) {
+  Ipv4Header header = NewHeader(src, dst, proto, opts.ttl);
+  // The wire image is built exactly once here; every later stage (routing,
+  // queueing, transmission, forwarding at each hop) shares or patches it.
+  Packet wire = BuildIpv4Packet(header, payload);
+  StartSend(header, std::move(wire), opts);
+}
+
+void IpStack::SendUdp(Ipv4Address src, Ipv4Address dst, uint16_t src_port, uint16_t dst_port,
+                      std::span<const uint8_t> payload, SendOptions opts) {
+  Ipv4Header header = NewHeader(src, dst, IpProto::kUdp, opts.ttl);
+  const size_t udp_length = UdpDatagram::kHeaderSize + payload.size();
+  MSN_CHECK(udp_length <= 0xffff - Ipv4Header::kSize)
+      << "UDP payload of " << payload.size() << " bytes would truncate total_length";
+  header.total_length = static_cast<uint16_t>(Ipv4Header::kSize + udp_length);
+  Packet wire = Packet::Allocate(header.total_length);
+  uint8_t* out = wire.MutableData();
+  UdpDatagram::SerializeTo(out + Ipv4Header::kSize, src_port, dst_port, payload, src, dst);
+  header.SerializeTo(out);
+  StartSend(header, std::move(wire), opts);
 }
 
 void IpStack::SendDatagram(Ipv4Address src, Ipv4Address dst, IpProto proto,

@@ -181,6 +181,12 @@ class IpStack {
                     std::vector<uint8_t> payload, SendOptions opts);
   void SendDatagram(Ipv4Address src, Ipv4Address dst, IpProto proto,
                     std::vector<uint8_t> payload);
+  // Builds and sends a UDP datagram: the UDP header, `payload` and checksum
+  // (over the pseudo-header for `src`, `dst`) and then the IP header are
+  // written once, straight into the datagram's Packet. The bytes are copied
+  // before the call returns; nothing holds `payload`.
+  void SendUdp(Ipv4Address src, Ipv4Address dst, uint16_t src_port, uint16_t dst_port,
+               std::span<const uint8_t> payload, SendOptions opts);
 
   // Re-injects a fully formed datagram into the send path, preserving its
   // header fields (used by tunnel endpoints): `wire` is the complete
@@ -259,6 +265,13 @@ class IpStack {
 
   InterfaceEntry* FindInterface(NetDevice* device);
   const InterfaceEntry* FindInterface(NetDevice* device) const;
+
+  // A fresh locally originated header; takes the next IP identification.
+  Ipv4Header NewHeader(Ipv4Address src, Ipv4Address dst, IpProto proto, uint8_t ttl);
+  // First send stage shared by SendDatagram and SendUdp: counts the
+  // datagram, draws the kernel send cost and schedules DoSend.
+  // msn-lint: allow(perf/frame-by-value) — ownership sink; callers move.
+  void StartSend(const Ipv4Header& header, Packet wire, SendOptions opts);
 
   Duration DrawDelay(Duration mean, Duration jitter);
   // Kernel stages are FIFO pipelines: each packet occupies the stage for its

@@ -32,12 +32,12 @@ bool UdpSocket::Bind(uint16_t port) {
   return true;
 }
 
-void UdpSocket::SendTo(Ipv4Address dst, uint16_t dst_port, std::vector<uint8_t> payload) {
-  SendToWithExtras(dst, dst_port, std::move(payload), SendExtras{});
+void UdpSocket::SendTo(Ipv4Address dst, uint16_t dst_port, std::span<const uint8_t> payload) {
+  SendToWithExtras(dst, dst_port, payload, SendExtras{});
 }
 
 void UdpSocket::SendToWithExtras(Ipv4Address dst, uint16_t dst_port,
-                                 std::vector<uint8_t> payload, const SendExtras& extras) {
+                                 std::span<const uint8_t> payload, const SendExtras& extras) {
   if (local_port_ == 0 && !Bind(0)) {
     return;
   }
@@ -52,11 +52,6 @@ void UdpSocket::SendToWithExtras(Ipv4Address dst, uint16_t dst_port,
       src = decision->src;
     }
   }
-  UdpDatagram dg;
-  dg.src_port = local_port_;
-  dg.dst_port = dst_port;
-  dg.payload = std::move(payload);
-
   IpStack::SendOptions opts;
   opts.force_device = extras.force_device;
   if (extras.force_broadcast_mac) {
@@ -66,7 +61,7 @@ void UdpSocket::SendToWithExtras(Ipv4Address dst, uint16_t dst_port,
   }
   opts.allow_unconfigured_source = extras.allow_unconfigured_source;
   ++datagrams_sent_;
-  stack_.SendDatagram(src, dst, IpProto::kUdp, dg.Serialize(src, dst), opts);
+  stack_.SendUdp(src, dst, local_port_, dst_port, payload, opts);
 }
 
 void UdpSocket::Deliver(const std::vector<uint8_t>& data, const Metadata& meta) {

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "src/net/address.h"
@@ -51,8 +53,10 @@ class UdpSocket {
 
   void SetReceiveHandler(ReceiveHandler handler) { handler_ = std::move(handler); }
 
-  // Sends a datagram. Binds an ephemeral port first if not yet bound.
-  void SendTo(Ipv4Address dst, uint16_t dst_port, std::vector<uint8_t> payload);
+  // Sends a datagram. Binds an ephemeral port first if not yet bound. The
+  // payload is copied into the datagram before the call returns; nothing
+  // holds the span.
+  void SendTo(Ipv4Address dst, uint16_t dst_port, std::span<const uint8_t> payload);
   // Variant with raw send options (used by DHCP for broadcast on an
   // unconfigured interface).
   struct SendExtras {
@@ -63,7 +67,7 @@ class UdpSocket {
     std::optional<MacAddress> force_dst_mac;
     bool allow_unconfigured_source = false;
   };
-  void SendToWithExtras(Ipv4Address dst, uint16_t dst_port, std::vector<uint8_t> payload,
+  void SendToWithExtras(Ipv4Address dst, uint16_t dst_port, std::span<const uint8_t> payload,
                         const SendExtras& extras);
 
   uint16_t local_port() const { return local_port_; }

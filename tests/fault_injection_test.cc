@@ -86,7 +86,7 @@ TEST_F(FaultInjectionFixture, CorruptionIsCaughtByChecksums) {
   // Pre-warm ARP caches along the path so corrupted ARP frames cannot stall
   // the experiment.
   for (int i = 0; i < 3; ++i) {
-    client.SendTo(tb_->ch_address(), 7777, {0xaa});
+    client.SendTo(tb_->ch_address(), 7777, std::vector<uint8_t>{0xaa});
     tb_->RunFor(Milliseconds(200));
   }
   const uint64_t received_clean = received;
@@ -96,7 +96,7 @@ TEST_F(FaultInjectionFixture, CorruptionIsCaughtByChecksums) {
   profile.corrupt_probability = 0.5;
   injector_->SetProfile(profile);
   for (int i = 0; i < 40; ++i) {
-    client.SendTo(tb_->ch_address(), 7777, {0xbb, static_cast<uint8_t>(i)});
+    client.SendTo(tb_->ch_address(), 7777, std::vector<uint8_t>{0xbb, static_cast<uint8_t>(i)});
     tb_->RunFor(Milliseconds(100));
   }
   injector_->ClearProfile();
@@ -114,7 +114,7 @@ TEST_F(FaultInjectionFixture, CorruptionIsCaughtByChecksums) {
 
   // Clean channel again: traffic flows.
   const uint64_t before = received;
-  client.SendTo(tb_->ch_address(), 7777, {0xcc});
+  client.SendTo(tb_->ch_address(), 7777, std::vector<uint8_t>{0xcc});
   tb_->RunFor(Seconds(1));
   EXPECT_EQ(received, before + 1);
 }

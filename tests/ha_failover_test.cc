@@ -213,13 +213,13 @@ TEST(HaCrashAccountingTest, CrashedAgentCountsItsDrops) {
   // Prime the path so the CH->home flow is established, then crash.
   UdpSocket probe(tb.ch->stack());
   ASSERT_TRUE(probe.Bind(5600));
-  probe.SendTo(Testbed::HomeAddress(), 5601, {1, 2, 3});
+  probe.SendTo(Testbed::HomeAddress(), 5601, std::vector<uint8_t>{1, 2, 3});
   tb.RunFor(Seconds(1));
 
   tb.home_agent->BeginOutage(HaOutageKind::kFailStop);
   ASSERT_TRUE(tb.home_agent->crashed());
   for (int i = 0; i < 5; ++i) {
-    probe.SendTo(Testbed::HomeAddress(), 5601, {1, 2, 3});
+    probe.SendTo(Testbed::HomeAddress(), 5601, std::vector<uint8_t>{1, 2, 3});
     tb.RunFor(Milliseconds(200));
   }
   tb.RunFor(Seconds(5));

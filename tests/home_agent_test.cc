@@ -287,7 +287,7 @@ TEST_F(HomeAgentFixture, BindingObserverSeesTransitions) {
 }
 
 TEST_F(HomeAgentFixture, MalformedDatagramCountedNotAnswered) {
-  socket_->SendTo(tb_->home_agent_address(), kMipRegistrationPort, {1, 2, 3});
+  socket_->SendTo(tb_->home_agent_address(), kMipRegistrationPort, std::vector<uint8_t>{1, 2, 3});
   tb_->RunFor(Seconds(1));
   EXPECT_EQ(replies_, 0);
   EXPECT_EQ(tb_->home_agent->counters().requests_received, 1u);

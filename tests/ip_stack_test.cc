@@ -228,18 +228,59 @@ TEST_F(StackFixture, UdpRoundTrip) {
                                const UdpSocket::Metadata& meta) {
     got = data;
     got_src = meta.src;
-    server.SendTo(meta.src, meta.src_port, {'o', 'k'});
+    server.SendTo(meta.src, meta.src_port, std::vector<uint8_t>{'o', 'k'});
   });
 
   UdpSocket client(a_.stack());
   std::vector<uint8_t> reply;
   client.SetReceiveHandler(
       [&](const std::vector<uint8_t>& data, const UdpSocket::Metadata&) { reply = data; });
-  client.SendTo(Ipv4Address(10, 0, 1, 2), 5000, {'h', 'i'});
+  client.SendTo(Ipv4Address(10, 0, 1, 2), 5000, std::vector<uint8_t>{'h', 'i'});
   sim_.Run();
   EXPECT_EQ(got, (std::vector<uint8_t>{'h', 'i'}));
   EXPECT_EQ(got_src, Ipv4Address(10, 0, 0, 2));
   EXPECT_EQ(reply, (std::vector<uint8_t>{'o', 'k'}));
+}
+
+TEST_F(StackFixture, SendUdpBuildsTheSerializedDatagram) {
+  // Every IPv4 frame the sender puts on the wire, in send order.
+  std::vector<std::vector<uint8_t>> sent;
+  a_dev_->SetTap([&](const EthernetFrame& frame, NetDevice::TapDirection dir) {
+    if (dir == NetDevice::TapDirection::kTransmit && frame.ethertype == EtherType::kIpv4) {
+      sent.push_back(frame.payload.ToVector());
+    }
+  });
+  const Ipv4Address src(10, 0, 0, 2), dst(10, 0, 1, 2);
+  const std::vector<size_t> sizes = {0, 1, 37, 1472};
+  for (const size_t size : sizes) {
+    std::vector<uint8_t> payload(size);
+    for (size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<uint8_t>(i * 7 + size);
+    }
+    a_.stack().SendUdp(src, dst, 40000, static_cast<uint16_t>(5000 + size), payload,
+                       IpStack::SendOptions{});
+  }
+  sim_.Run();
+  a_dev_->ClearTap();
+
+  ASSERT_EQ(sent.size(), sizes.size());
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    UdpDatagram dg;
+    dg.src_port = 40000;
+    dg.dst_port = static_cast<uint16_t>(5000 + sizes[i]);
+    dg.payload.resize(sizes[i]);
+    for (size_t j = 0; j < sizes[i]; ++j) {
+      dg.payload[j] = static_cast<uint8_t>(j * 7 + sizes[i]);
+    }
+    Ipv4Header header;
+    header.src = src;
+    header.dst = dst;
+    header.protocol = IpProto::kUdp;
+    header.identification = static_cast<uint16_t>(i + 1);  // The stack's first ids.
+    const Packet expected = BuildIpv4Packet(header, dg.Serialize(src, dst));
+    EXPECT_EQ(sent[i], expected.ToVector()) << "payload of " << sizes[i] << " bytes";
+  }
+  EXPECT_EQ(a_.stack().counters().datagrams_sent, sizes.size());
 }
 
 TEST_F(StackFixture, UdpToClosedPortSignalsUnreachable) {
@@ -249,7 +290,7 @@ TEST_F(StackFixture, UdpToClosedPortSignalsUnreachable) {
         msg.code == static_cast<uint8_t>(IcmpUnreachableCode::kPortUnreachable);
   });
   UdpSocket client(a_.stack());
-  client.SendTo(Ipv4Address(10, 0, 1, 2), 4321, {1});
+  client.SendTo(Ipv4Address(10, 0, 1, 2), 4321, std::vector<uint8_t>{1});
   sim_.Run();
   EXPECT_TRUE(port_unreachable);
 }
@@ -267,7 +308,7 @@ TEST_F(StackFixture, UdpBoundSourceAddressSelectsSocket) {
       [&](const std::vector<uint8_t>&, const UdpSocket::Metadata&) { ++wildcard_got; });
 
   UdpSocket client(a_.stack());
-  client.SendTo(Ipv4Address(10, 0, 1, 2), 6000, {1});
+  client.SendTo(Ipv4Address(10, 0, 1, 2), 6000, std::vector<uint8_t>{1});
   sim_.Run();
   EXPECT_EQ(bound_got, 1);
   EXPECT_EQ(wildcard_got, 0);
@@ -442,7 +483,7 @@ TEST_F(StackFixture, LimitedBroadcastReachesSegment) {
   UdpSocket::SendExtras extras;
   extras.force_device = a_dev_;
   extras.force_broadcast_mac = true;
-  sender.SendToWithExtras(Ipv4Address::Broadcast(), 999, {1}, extras);
+  sender.SendToWithExtras(Ipv4Address::Broadcast(), 999, std::vector<uint8_t>{1}, extras);
   sim_.Run();
   EXPECT_EQ(got, 1);
 }

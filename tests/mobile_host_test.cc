@@ -253,7 +253,7 @@ TEST_F(PolicyRoutingFixture, EncapDirectWrapsToCorrespondent) {
         inner_src = inner->header.src;
       });
   UdpSocket socket(tb_->mh->stack());
-  socket.SendTo(tb_->ch_address(), 9999, {1, 2, 3});
+  socket.SendTo(tb_->ch_address(), 9999, std::vector<uint8_t>{1, 2, 3});
   tb_->RunFor(Seconds(1));
   EXPECT_EQ(ipip_at_ch, 1);
   EXPECT_EQ(outer_src, Ipv4Address(36, 8, 0, 50));

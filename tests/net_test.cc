@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "src/net/address.h"
@@ -349,6 +350,28 @@ TEST(ChecksumTest, AllZeroAndAllOnesBuffersMatchReference) {
 
 // --- IPv4 header ------------------------------------------------------------------------------
 
+TEST(Ipv4HeaderTest, FixedWidthChecksumMatchesGenericSumWithFieldZeroed) {
+  // Random headers with a random checksum field: the fixed-width sum must
+  // ignore the field, so it equals the generic sum over the field zeroed.
+  Rng rng(791);
+  for (int trial = 0; trial < 20000; ++trial) {
+    uint8_t header[Ipv4Header::kSize];
+    const uint64_t fill = rng.UniformInt(uint64_t{0}, uint64_t{3});
+    for (uint8_t& byte : header) {
+      byte = fill == 0 ? 0x00 : fill == 1 ? 0xff : static_cast<uint8_t>(rng.NextU64());
+    }
+    header[10] = static_cast<uint8_t>(rng.NextU64());
+    header[11] = static_cast<uint8_t>(rng.NextU64());
+    uint8_t zeroed[Ipv4Header::kSize];
+    std::copy(std::begin(header), std::end(header), std::begin(zeroed));
+    zeroed[10] = 0;
+    zeroed[11] = 0;
+    ASSERT_EQ(ComputeIpv4HeaderChecksum(header),
+              ComputeInternetChecksum(zeroed, Ipv4Header::kSize))
+        << "trial " << trial;
+  }
+}
+
 TEST(Ipv4HeaderTest, SerializeParseRoundTrip) {
   Ipv4Header h;
   h.tos = 0x10;
@@ -554,6 +577,96 @@ TEST(UdpTest, EmptyPayload) {
   EXPECT_TRUE(parsed->payload.empty());
 }
 
+// The UDP layout UdpDatagram::Serialize wrote through a ByteWriter before
+// the in-place builder, summed by the byte-pair oracle: the raw checksum
+// (before the RFC 768 zero substitution) goes to `raw_checksum`.
+std::vector<uint8_t> OracleUdpBytes(uint16_t src_port, uint16_t dst_port,
+                                    const std::vector<uint8_t>& payload, Ipv4Address src_ip,
+                                    Ipv4Address dst_ip, uint16_t* raw_checksum = nullptr) {
+  const auto length = static_cast<uint16_t>(UdpDatagram::kHeaderSize + payload.size());
+  ByteWriter w(length);
+  w.WriteU16(src_port);
+  w.WriteU16(dst_port);
+  w.WriteU16(length);
+  w.WriteU16(0);
+  w.WriteBytes(payload);
+  BytePairChecksum cs;
+  cs.AddU32(src_ip.value());
+  cs.AddU32(dst_ip.value());
+  cs.AddU16(static_cast<uint16_t>(IpProto::kUdp));
+  cs.AddU16(length);
+  cs.Add(w.data().data(), w.size());
+  const uint16_t checksum = cs.Fold();
+  if (raw_checksum != nullptr) {
+    *raw_checksum = checksum;
+  }
+  w.PatchU16(6, checksum == 0 ? 0xffff : checksum);
+  return w.Take();
+}
+
+TEST(UdpTest, SerializeToMatchesByteWriterOracle) {
+  Rng rng(768);
+  std::vector<size_t> sizes = {0, 1, 2, 3, 4, 7, 1451, 1452, 1471, 1472};
+  for (int i = 0; i < 400; ++i) {
+    sizes.push_back(static_cast<size_t>(rng.UniformInt(uint64_t{0}, uint64_t{1472})));
+  }
+  constexpr uint8_t kGuard = 0xa5;
+  for (const size_t size : sizes) {
+    const auto src_port = static_cast<uint16_t>(rng.NextU64());
+    const auto dst_port = static_cast<uint16_t>(rng.NextU64());
+    const Ipv4Address src(static_cast<uint32_t>(rng.NextU64()));
+    const Ipv4Address dst(static_cast<uint32_t>(rng.NextU64()));
+    std::vector<uint8_t> payload(size);
+    for (uint8_t& byte : payload) {
+      byte = static_cast<uint8_t>(rng.NextU64());
+    }
+    const auto expected = OracleUdpBytes(src_port, dst_port, payload, src, dst);
+
+    // A guard byte on each side: the builder writes exactly 8 + n bytes.
+    std::vector<uint8_t> out(expected.size() + 2, kGuard);
+    UdpDatagram::SerializeTo(out.data() + 1, src_port, dst_port, payload, src, dst);
+    ASSERT_EQ(out.front(), kGuard) << "size " << size;
+    ASSERT_EQ(out.back(), kGuard) << "size " << size;
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), out.begin() + 1))
+        << "size " << size;
+
+    UdpDatagram dg;
+    dg.src_port = src_port;
+    dg.dst_port = dst_port;
+    dg.payload = payload;
+    ASSERT_EQ(dg.Serialize(src, dst), expected) << "size " << size;
+
+    const auto parsed = UdpDatagram::Parse(expected, src, dst);
+    ASSERT_TRUE(parsed.has_value()) << "size " << size;
+    EXPECT_EQ(parsed->src_port, src_port);
+    EXPECT_EQ(parsed->dst_port, dst_port);
+    EXPECT_EQ(parsed->payload, payload);
+  }
+}
+
+TEST(UdpTest, ComputedZeroChecksumIsSentAsAllOnes) {
+  // Search two-byte payloads for one whose checksum computes to 0.
+  const Ipv4Address src(36, 135, 0, 10), dst(36, 8, 0, 20);
+  std::vector<uint8_t> payload(2);
+  bool found = false;
+  for (uint32_t v = 0; v <= 0xffff && !found; ++v) {
+    payload[0] = static_cast<uint8_t>(v >> 8);
+    payload[1] = static_cast<uint8_t>(v);
+    uint16_t raw = 1;
+    (void)OracleUdpBytes(7, 7, payload, src, dst, &raw);
+    found = raw == 0;
+  }
+  ASSERT_TRUE(found);
+  std::vector<uint8_t> out(UdpDatagram::kHeaderSize + payload.size());
+  UdpDatagram::SerializeTo(out.data(), 7, 7, payload, src, dst);
+  EXPECT_EQ(out[6], 0xff);
+  EXPECT_EQ(out[7], 0xff);
+  EXPECT_EQ(out, OracleUdpBytes(7, 7, payload, src, dst));
+  const auto parsed = UdpDatagram::Parse(out, src, dst);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->payload, payload);
+}
+
 // --- ICMP ----------------------------------------------------------------------------------------
 
 TEST(IcmpTest, EchoRoundTrip) {
@@ -602,6 +715,47 @@ TEST(ArpTest, RequestRoundTrip) {
   EXPECT_EQ(parsed->sender_ip, msg.sender_ip);
   EXPECT_EQ(parsed->target_ip, msg.target_ip);
   EXPECT_NE(parsed->ToString().find("who-has"), std::string::npos);
+}
+
+TEST(ArpTest, SerializeToWritesTheRfc826Images) {
+  ArpMessage request;
+  request.op = ArpOp::kRequest;
+  request.sender_mac = MacAddress::FromId(0x2a);
+  request.sender_ip = Ipv4Address(36, 135, 0, 1);
+  request.target_mac = MacAddress::Zero();
+  request.target_ip = Ipv4Address(36, 135, 0, 10);
+  const uint8_t request_image[ArpMessage::kSize] = {
+      0x00, 0x01, 0x08, 0x00, 6, 4, 0x00, 0x01,  // Ethernet, IPv4, lengths, request.
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x2a,        // Sender MAC.
+      36,   135,  0,    1,                       // Sender IP.
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,        // Target MAC.
+      36,   135,  0,    10,                      // Target IP.
+  };
+  uint8_t out[ArpMessage::kSize + 1];
+  out[ArpMessage::kSize] = 0xa5;
+  request.SerializeTo(out);
+  EXPECT_TRUE(std::equal(std::begin(request_image), std::end(request_image), out));
+  EXPECT_EQ(out[ArpMessage::kSize], 0xa5);  // Exactly kSize bytes written.
+  EXPECT_EQ(request.Serialize(),
+            std::vector<uint8_t>(std::begin(request_image), std::end(request_image)));
+
+  ArpMessage reply;
+  reply.op = ArpOp::kReply;
+  reply.sender_mac = MacAddress::FromId(0x0102);
+  reply.sender_ip = Ipv4Address(10, 0, 0, 2);
+  reply.target_mac = MacAddress::FromId(0xbeef);
+  reply.target_ip = Ipv4Address(192, 168, 255, 254);
+  const uint8_t reply_image[ArpMessage::kSize] = {
+      0x00, 0x01, 0x08, 0x00, 6, 4, 0x00, 0x02,  // Ethernet, IPv4, lengths, reply.
+      0x02, 0x00, 0x00, 0x00, 0x01, 0x02,        // Sender MAC.
+      10,   0,    0,    2,                       // Sender IP.
+      0x02, 0x00, 0x00, 0x00, 0xbe, 0xef,        // Target MAC.
+      192,  168,  255,  254,                     // Target IP.
+  };
+  reply.SerializeTo(out);
+  EXPECT_TRUE(std::equal(std::begin(reply_image), std::end(reply_image), out));
+  EXPECT_EQ(reply.Serialize(),
+            std::vector<uint8_t>(std::begin(reply_image), std::end(reply_image)));
 }
 
 TEST(ArpTest, RejectsBadHardwareType) {
