@@ -308,7 +308,10 @@ std::optional<RouteDecision> HomeAgent::RouteOverride(const RouteQuery& query) {
   if (role_ != HaRole::kPrimary) {
     return std::nullopt;
   }
-  if (!HasBinding(query.dst)) {
+  // Admission serves only homes inside the served subnet, so an address
+  // outside it has no binding: skip the record lookup (the tunnel's outer
+  // packets and reverse-decapsulated inner packets).
+  if (!config_.home_subnet.Contains(query.dst) || !HasBinding(query.dst)) {
     return std::nullopt;
   }
   RouteDecision decision;
