@@ -100,16 +100,11 @@ void ForeignAgent::RelayReply(const RegistrationReply& reply) {
   ++counters_.replies_relayed;
   // Frame the reply straight to the visitor's MAC: it has no routable
   // address on this network.
-  UdpDatagram dg;
-  dg.src_port = kMipRegistrationPort;
-  dg.dst_port = it->second.reply_port;
-  dg.payload = reply.Serialize();
-
   IpStack::SendOptions opts;
   opts.force_device = config_.device;
   opts.force_dst_mac = it->second.mac;
-  node_.stack().SendDatagram(config_.address, reply.home_address, IpProto::kUdp,
-                             dg.Serialize(config_.address, reply.home_address), opts);
+  node_.stack().SendUdp(config_.address, reply.home_address, kMipRegistrationPort,
+                        it->second.reply_port, reply.Serialize(), opts);
   // Denied: forget the visitor after relaying the reply.
   if (!reply.accepted()) {
     visitors_.erase(it);
