@@ -96,13 +96,11 @@ uint16_t ComputeIpv4HeaderChecksum(const uint8_t* header) {
       std::bit_cast<uint32_t>(std::array<uint8_t, 4>{0xff, 0xff, 0x00, 0x00});
   uint32_t w[5];
   std::memcpy(w, header, sizeof(w));
-  const uint64_t acc =
-      uint64_t{w[0]} + w[1] + (w[2] & kMaskChecksum) + w[3] + w[4];
+  const uint64_t acc = uint64_t{w[0]} + w[1] + (w[2] & kMaskChecksum) + w[3] + w[4];
   // As in InternetChecksum::Add: the folded native sum is the byte-swapped
   // big-endian word sum.
   const uint16_t folded = FoldTo16(acc);
-  const uint16_t sum =
-      std::endian::native == std::endian::little ? ByteSwap16(folded) : folded;
+  const uint16_t sum = std::endian::native == std::endian::little ? ByteSwap16(folded) : folded;
   return static_cast<uint16_t>(~sum & 0xffff);
 }
 

@@ -93,8 +93,7 @@ struct UdpDatagram {
   // A computed checksum of 0 goes out as 0xffff (RFC 768). The one UDP
   // builder: the send path writes straight into the datagram's Packet.
   static void SerializeTo(uint8_t* out, uint16_t src_port, uint16_t dst_port,
-                          std::span<const uint8_t> payload, Ipv4Address src_ip,
-                          Ipv4Address dst_ip);
+                          std::span<const uint8_t> payload, Ipv4Address src_ip, Ipv4Address dst_ip);
   // SerializeTo into a fresh vector.
   [[nodiscard]] std::vector<uint8_t> Serialize(Ipv4Address src_ip, Ipv4Address dst_ip) const;
   // Parses and verifies the checksum against the given address pair.

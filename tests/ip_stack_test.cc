@@ -251,36 +251,31 @@ TEST_F(StackFixture, SendUdpBuildsTheSerializedDatagram) {
     }
   });
   const Ipv4Address src(10, 0, 0, 2), dst(10, 0, 1, 2);
-  const std::vector<size_t> sizes = {0, 1, 37, 1472};
-  for (const size_t size : sizes) {
-    std::vector<uint8_t> payload(size);
+  std::vector<UdpDatagram> datagrams;
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{37}, size_t{1472}}) {
+    UdpDatagram& dg = datagrams.emplace_back();
+    dg.src_port = 40000;
+    dg.dst_port = static_cast<uint16_t>(5000 + size);
     for (size_t i = 0; i < size; ++i) {
-      payload[i] = static_cast<uint8_t>(i * 7 + size);
+      dg.payload.push_back(static_cast<uint8_t>(i * 7 + size));
     }
-    a_.stack().SendUdp(src, dst, 40000, static_cast<uint16_t>(5000 + size), payload,
-                       IpStack::SendOptions{});
+    a_.stack().SendUdp(src, dst, dg.src_port, dg.dst_port, dg.payload, IpStack::SendOptions{});
   }
   sim_.Run();
   a_dev_->ClearTap();
 
-  ASSERT_EQ(sent.size(), sizes.size());
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    UdpDatagram dg;
-    dg.src_port = 40000;
-    dg.dst_port = static_cast<uint16_t>(5000 + sizes[i]);
-    dg.payload.resize(sizes[i]);
-    for (size_t j = 0; j < sizes[i]; ++j) {
-      dg.payload[j] = static_cast<uint8_t>(j * 7 + sizes[i]);
-    }
+  ASSERT_EQ(sent.size(), datagrams.size());
+  for (size_t i = 0; i < datagrams.size(); ++i) {
     Ipv4Header header;
     header.src = src;
     header.dst = dst;
     header.protocol = IpProto::kUdp;
     header.identification = static_cast<uint16_t>(i + 1);  // The stack's first ids.
-    const Packet expected = BuildIpv4Packet(header, dg.Serialize(src, dst));
-    EXPECT_EQ(sent[i], expected.ToVector()) << "payload of " << sizes[i] << " bytes";
+    const Packet expected = BuildIpv4Packet(header, datagrams[i].Serialize(src, dst));
+    EXPECT_EQ(sent[i], expected.ToVector())
+        << "payload of " << datagrams[i].payload.size() << " bytes";
   }
-  EXPECT_EQ(a_.stack().counters().datagrams_sent, sizes.size());
+  EXPECT_EQ(a_.stack().counters().datagrams_sent, datagrams.size());
 }
 
 TEST_F(StackFixture, UdpToClosedPortSignalsUnreachable) {

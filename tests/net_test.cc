@@ -366,8 +366,7 @@ TEST(Ipv4HeaderTest, FixedWidthChecksumMatchesGenericSumWithFieldZeroed) {
     std::copy(std::begin(header), std::end(header), std::begin(zeroed));
     zeroed[10] = 0;
     zeroed[11] = 0;
-    ASSERT_EQ(ComputeIpv4HeaderChecksum(header),
-              ComputeInternetChecksum(zeroed, Ipv4Header::kSize))
+    ASSERT_EQ(ComputeIpv4HeaderChecksum(header), ComputeInternetChecksum(zeroed, Ipv4Header::kSize))
         << "trial " << trial;
   }
 }
@@ -627,8 +626,7 @@ TEST(UdpTest, SerializeToMatchesByteWriterOracle) {
     UdpDatagram::SerializeTo(out.data() + 1, src_port, dst_port, payload, src, dst);
     ASSERT_EQ(out.front(), kGuard) << "size " << size;
     ASSERT_EQ(out.back(), kGuard) << "size " << size;
-    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), out.begin() + 1))
-        << "size " << size;
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), out.begin() + 1)) << "size " << size;
 
     UdpDatagram dg;
     dg.src_port = src_port;
@@ -725,11 +723,11 @@ TEST(ArpTest, SerializeToWritesTheRfc826Images) {
   request.target_mac = MacAddress::Zero();
   request.target_ip = Ipv4Address(36, 135, 0, 10);
   const uint8_t request_image[ArpMessage::kSize] = {
-      0x00, 0x01, 0x08, 0x00, 6, 4, 0x00, 0x01,  // Ethernet, IPv4, lengths, request.
-      0x02, 0x00, 0x00, 0x00, 0x00, 0x2a,        // Sender MAC.
-      36,   135,  0,    1,                       // Sender IP.
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,        // Target MAC.
-      36,   135,  0,    10,                      // Target IP.
+      0x00, 0x01, 0x08, 0x00, 0x06, 0x04, 0x00, 0x01,  // Ethernet, IPv4, lengths 6 and 4, request.
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x2a,              // Sender MAC.
+      0x24, 0x87, 0x00, 0x01,                          // Sender IP 36.135.0.1.
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,              // Target MAC.
+      0x24, 0x87, 0x00, 0x0a,                          // Target IP 36.135.0.10.
   };
   uint8_t out[ArpMessage::kSize + 1];
   out[ArpMessage::kSize] = 0xa5;
@@ -746,11 +744,11 @@ TEST(ArpTest, SerializeToWritesTheRfc826Images) {
   reply.target_mac = MacAddress::FromId(0xbeef);
   reply.target_ip = Ipv4Address(192, 168, 255, 254);
   const uint8_t reply_image[ArpMessage::kSize] = {
-      0x00, 0x01, 0x08, 0x00, 6, 4, 0x00, 0x02,  // Ethernet, IPv4, lengths, reply.
-      0x02, 0x00, 0x00, 0x00, 0x01, 0x02,        // Sender MAC.
-      10,   0,    0,    2,                       // Sender IP.
-      0x02, 0x00, 0x00, 0x00, 0xbe, 0xef,        // Target MAC.
-      192,  168,  255,  254,                     // Target IP.
+      0x00, 0x01, 0x08, 0x00, 0x06, 0x04, 0x00, 0x02,  // Ethernet, IPv4, lengths 6 and 4, reply.
+      0x02, 0x00, 0x00, 0x00, 0x01, 0x02,              // Sender MAC.
+      0x0a, 0x00, 0x00, 0x02,                          // Sender IP 10.0.0.2.
+      0x02, 0x00, 0x00, 0x00, 0xbe, 0xef,              // Target MAC.
+      0xc0, 0xa8, 0xff, 0xfe,                          // Target IP 192.168.255.254.
   };
   reply.SerializeTo(out);
   EXPECT_TRUE(std::equal(std::begin(reply_image), std::end(reply_image), out));
